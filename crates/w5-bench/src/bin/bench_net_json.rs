@@ -41,7 +41,7 @@ use w5_net::{
     Admission, ChargeDenied, ChargePoint, Handler, InlineServe, Pipeline, PipelineConfig,
     PrincipalClass, Request, Response, Serve,
 };
-use w5_obs::Histogram;
+use w5_obs::{fnv, Histogram};
 
 /// FNV-1a steps per honest request (~a moderate dynamic page).
 const HONEST_ITERS: u64 = 600_000;
@@ -50,10 +50,9 @@ const HONEST_ITERS: u64 = 600_000;
 const ROGUE_ITERS: u64 = 60_000;
 
 fn spin(iters: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = fnv::OFFSET;
     for i in 0..iters {
-        h ^= i;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        fnv::fold_word(&mut h, i);
     }
     std::hint::black_box(h)
 }
@@ -175,8 +174,8 @@ fn record(
     result: (Histogram, u64, u64),
 ) -> f64 {
     let (hist, honest, rogue) = result;
-    let p50 = hist.percentile_ns(50.0) as f64 / 1_000.0;
-    let p99 = hist.percentile_ns(99.0) as f64 / 1_000.0;
+    let p50 = hist.percentile_ns(0.50) as f64 / 1_000.0;
+    let p99 = hist.percentile_ns(0.99) as f64 / 1_000.0;
     let secs = window.as_secs_f64();
     println!(
         "  {name:<34} honest p50 {p50:>9.1} µs  p99 {p99:>9.1} µs  {:>8.0} rps  (rogue {:>9.0} rps)",

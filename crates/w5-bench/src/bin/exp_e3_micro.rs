@@ -2,8 +2,9 @@
 //!
 //! The cost of the primitive operations everything else pays for: tag
 //! creation, label set algebra at growing label sizes, flow checks,
-//! privileged flow checks, and wire encoding. Criterion variants live in
-//! `benches/bench_difc.rs`; this binary prints the summary table.
+//! privileged flow checks, and wire encoding. This binary prints the
+//! summary table; `bench_difc_json` pairs the interned and naive label
+//! representations against a committed baseline.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -2,9 +2,9 @@
 //!
 //! The paper has no evaluation section (it is a HotNets position paper);
 //! `DESIGN.md` §4 defines the experiment suite this crate implements. Each
-//! `exp_*` binary regenerates one experiment's table; `cargo bench` runs
-//! the Criterion microbenchmarks. `EXPERIMENTS.md` records claim vs
-//! measurement for each.
+//! `exp_*` binary regenerates one experiment's table, and each
+//! `bench_*_json` binary writes a `BENCH_*.json` baseline that CI checks.
+//! `EXPERIMENTS.md` records claim vs measurement for each.
 //!
 //! This library holds the helpers the binaries share.
 

@@ -44,7 +44,7 @@ use w5_sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use w5_obs::ObsLabel;
+use w5_obs::{fnv, ObsLabel};
 
 /// Interned label handle: an index into the global intern table.
 ///
@@ -99,13 +99,11 @@ pub struct PairIdHasher(u64);
 
 impl std::hash::Hasher for PairIdHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
-        }
+        fnv::fold(&mut self.0, bytes);
     }
 
     fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0 ^ u64::from(v)).wrapping_mul(0x100000001b3);
+        fnv::fold_word(&mut self.0, u64::from(v));
     }
 
     fn finish(&self) -> u64 {
@@ -253,11 +251,6 @@ fn table() -> &'static Interner {
     TABLE.get_or_init(Interner::new)
 }
 
-fn fnv(mut h: u64, v: u64) -> u64 {
-    h ^= v;
-    h.wrapping_mul(0x100000001b3)
-}
-
 impl Interner {
     fn new() -> Interner {
         let empty = Label::empty();
@@ -285,9 +278,9 @@ impl Interner {
     }
 
     fn shard_of(label: &Label) -> usize {
-        let mut h = 0xcbf29ce484222325;
+        let mut h = fnv::OFFSET;
         for t in label.iter() {
-            h = fnv(h, t.raw());
+            fnv::fold_word(&mut h, t.raw());
         }
         (h as usize) & (SHARD_COUNT - 1)
     }
@@ -329,7 +322,10 @@ impl Interner {
     fn subset(&self, a: LabelId, b: LabelId) -> bool {
         let key_a = a.0 as u64;
         let key_b = b.0 as u64;
-        let slot_ix = (fnv(fnv(0xcbf29ce484222325, key_a), key_b) as usize) & (FLOW_CACHE_SLOTS - 1);
+        let mut h = fnv::OFFSET;
+        fnv::fold_word(&mut h, key_a);
+        fnv::fold_word(&mut h, key_b);
+        let slot_ix = (h as usize) & (FLOW_CACHE_SLOTS - 1);
         let slot = &self.flow[slot_ix];
         let packed = slot.load(Ordering::Relaxed);
         let key = (key_a << 31) | key_b;

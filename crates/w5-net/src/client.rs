@@ -270,6 +270,23 @@ mod tests {
     }
 
     #[test]
+    fn request_on_a_connection_the_server_closed_is_transient() {
+        // A peer that reads one request and hangs up without replying, as
+        // a server does when it retires a keep-alive connection.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            Request::read_from(&mut BufReader::new(stream), &Limits::default()).unwrap();
+        });
+        let mut conn = HttpClient::new().connect(addr).unwrap();
+        let err = conn.request(&Request::get("/a")).unwrap_err();
+        peer.join().unwrap();
+        assert!(matches!(err, HttpError::UnexpectedEof), "{err:?}");
+        assert!(err.is_transient());
+    }
+
+    #[test]
     fn truncated_body_without_retries_fails_fast() {
         use crate::server::{Server, ServerConfig};
         use crate::http::Response;

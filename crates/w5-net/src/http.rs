@@ -379,6 +379,11 @@ impl Response {
     /// Read and parse one response (client side).
     pub fn read_from<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Response, HttpError> {
         let line = read_line(r, limits.max_line)?;
+        if line.is_empty() {
+            // The peer closed before sending a byte (e.g. a server that
+            // just retired this keep-alive connection): transient.
+            return Err(HttpError::UnexpectedEof);
+        }
         let mut parts = line.splitn(3, ' ');
         let version = parts.next().unwrap_or("");
         if !version.starts_with("HTTP/1.") {
@@ -616,6 +621,13 @@ mod tests {
         assert_eq!(parsed.header("x-w5-app"), Some("photo"));
         assert_eq!(parsed.body_string(), "<h1>hi</h1>");
         assert_eq!(parsed.header("connection"), Some("keep-alive"));
+    }
+
+    #[test]
+    fn response_closed_before_any_byte_is_transient_eof() {
+        let err = Response::read_from(&mut Cursor::new(Vec::new()), &Limits::default()).unwrap_err();
+        assert!(matches!(err, HttpError::UnexpectedEof), "{err:?}");
+        assert!(err.is_transient());
     }
 
     #[test]

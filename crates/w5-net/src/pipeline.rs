@@ -93,20 +93,8 @@ impl PrincipalClass {
     }
 
     fn shard(&self, shards: usize) -> usize {
-        (fnv64(self.key().as_bytes()) % shards as u64) as usize
+        (w5_obs::fnv::hash(self.key().as_bytes()) % shards as u64) as usize
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Where in the pipeline a charge lands.

@@ -258,7 +258,7 @@ fn serve_connection(
     let mut write_half = stream.try_clone().map_err(HttpError::Io)?;
     let mut reader = buf_reader(stream);
 
-    for _ in 0..config.max_requests_per_connection {
+    for served_here in 1..=config.max_requests_per_connection {
         if stop.load(Ordering::SeqCst) {
             break;
         }
@@ -286,7 +286,11 @@ fn serve_connection(
                 break;
             }
         };
-        let keep = request.keep_alive() && !stop.load(Ordering::SeqCst);
+        // The reply that uses up the connection's request budget must say
+        // `close`: the socket shuts right after it.
+        let keep = request.keep_alive()
+            && served_here < config.max_requests_per_connection
+            && !stop.load(Ordering::SeqCst);
         let (method, path) = (request.method, request.path.clone());
         // Root span per request; a wire-propagated trace context (e.g. a
         // federation peer's `x-w5-trace`) stitches this server's tree under
@@ -367,6 +371,23 @@ mod tests {
             assert_eq!(resp.body_string(), format!("GET /r{i}"));
         }
         assert_eq!(h.requests_served(), 5);
+        h.shutdown();
+    }
+
+    #[test]
+    fn reply_that_exhausts_the_request_budget_says_close() {
+        let config = ServerConfig { max_requests_per_connection: 2, ..ServerConfig::default() };
+        let h = Server::start(
+            "127.0.0.1:0",
+            config,
+            Arc::new(|req: Request, _peer: SocketAddr| Response::text(req.path)),
+        )
+        .unwrap();
+        let mut conn = HttpClient::new().connect(h.addr()).unwrap();
+        let first = conn.request(&Request::get("/a")).unwrap();
+        assert_eq!(first.header("connection"), Some("keep-alive"));
+        let second = conn.request(&Request::get("/b")).unwrap();
+        assert_eq!(second.header("connection"), Some("close"));
         h.shutdown();
     }
 

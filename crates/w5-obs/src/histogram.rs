@@ -87,9 +87,11 @@ impl Histogram {
         }
     }
 
-    /// Approximate percentile (0.0..=1.0), as the lower bound of the
-    /// containing bucket.
+    /// Approximate percentile, as the lower bound of the containing
+    /// bucket. `p` is a fraction in `0.0..=1.0` (`0.99` for p99), not a
+    /// percentage.
     pub fn percentile_ns(&self, p: f64) -> u64 {
+        debug_assert!((0.0..=1.0).contains(&p), "percentile_ns takes a fraction in [0, 1], got {p}");
         if self.total == 0 {
             return 0;
         }
@@ -246,6 +248,15 @@ mod tests {
         assert_eq!(h.mean_ns(), 0.0);
         assert_eq!(h.percentile_ns(0.99), 0);
         assert_eq!(h.min_ns(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "takes a fraction")]
+    fn percentile_rejects_a_percentage() {
+        let mut h = Histogram::new();
+        h.record_ns(100);
+        h.percentile_ns(99.0);
     }
 
     #[test]

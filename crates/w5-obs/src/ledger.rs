@@ -22,6 +22,7 @@
 //! counts and an untainted reader could poll them out.
 
 use crate::event::{Event, EventKind, Layer};
+use crate::fnv;
 use crate::histogram::{Histogram, HistogramSummary};
 use crate::label::ObsLabel;
 use crate::trace::{redact_spans, sample_decision, SpanRecord, TraceView};
@@ -326,46 +327,38 @@ impl Ledger {
     /// digest; the chaos harness uses this to prove that a fault schedule
     /// replays bit-identically from its seed, tracing included.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-        let mut h = FNV_OFFSET;
-        mix(&mut h, &self.events_recorded().to_le_bytes());
+        let mut h = fnv::OFFSET;
+        fnv::fold(&mut h, &self.events_recorded().to_le_bytes());
         let agg = self.aggregate();
         for (layer, count) in agg.events.iter().chain(agg.denied.iter()) {
-            mix(&mut h, layer.as_bytes());
-            mix(&mut h, &count.to_le_bytes());
+            fnv::fold(&mut h, layer.as_bytes());
+            fnv::fold(&mut h, &count.to_le_bytes());
         }
         let ring = self.ring.lock();
         for e in ring.iter() {
-            mix(&mut h, &e.seq.to_le_bytes());
+            fnv::fold(&mut h, &e.seq.to_le_bytes());
             for tag in e.secrecy.iter() {
-                mix(&mut h, &tag.to_le_bytes());
+                fnv::fold(&mut h, &tag.to_le_bytes());
             }
             // EventKind serializes to JSON with a stable field order.
             let kind = serde_json::to_string(&e.kind).expect("event kinds always serialize");
-            mix(&mut h, kind.as_bytes());
+            fnv::fold(&mut h, kind.as_bytes());
         }
         drop(ring);
-        mix(&mut h, &self.spans_recorded().to_le_bytes());
+        fnv::fold(&mut h, &self.spans_recorded().to_le_bytes());
         for (layer, counter) in Layer::ALL.iter().zip(&self.span_counters) {
-            mix(&mut h, layer.name().as_bytes());
-            mix(&mut h, &counter.load(Ordering::Relaxed).to_le_bytes());
+            fnv::fold(&mut h, layer.name().as_bytes());
+            fnv::fold(&mut h, &counter.load(Ordering::Relaxed).to_le_bytes());
         }
         let spans = self.spans.lock();
         for s in spans.iter() {
-            mix(&mut h, &s.trace.to_le_bytes());
-            mix(&mut h, &s.id.to_le_bytes());
-            mix(&mut h, &s.parent.unwrap_or(0).to_le_bytes());
-            mix(&mut h, s.name.as_bytes());
-            mix(&mut h, s.layer.name().as_bytes());
+            fnv::fold(&mut h, &s.trace.to_le_bytes());
+            fnv::fold(&mut h, &s.id.to_le_bytes());
+            fnv::fold(&mut h, &s.parent.unwrap_or(0).to_le_bytes());
+            fnv::fold(&mut h, s.name.as_bytes());
+            fnv::fold(&mut h, s.layer.name().as_bytes());
             for tag in s.secrecy.iter() {
-                mix(&mut h, &tag.to_le_bytes());
+                fnv::fold(&mut h, &tag.to_le_bytes());
             }
             // Deliberately NOT start_us/end_us: wall time is the one
             // thing a bit-identical replay cannot reproduce.
@@ -384,15 +377,7 @@ impl Ledger {
     /// thread-per-connection engine never does — while the handler-visible
     /// event stream must still match event for event.
     pub fn digest_where(&self, keep: impl Fn(&EventKind) -> bool) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-        let mut h = FNV_OFFSET;
+        let mut h = fnv::OFFSET;
         let ring = self.ring.lock();
         let mut reissued = 0u64;
         for e in ring.iter() {
@@ -401,24 +386,24 @@ impl Ledger {
             }
             // Dense re-issue, exactly like a redacted view: the original
             // seq would count the excluded events.
-            mix(&mut h, &reissued.to_le_bytes());
+            fnv::fold(&mut h, &reissued.to_le_bytes());
             reissued += 1;
             for tag in e.secrecy.iter() {
-                mix(&mut h, &tag.to_le_bytes());
+                fnv::fold(&mut h, &tag.to_le_bytes());
             }
             let kind = serde_json::to_string(&e.kind).expect("event kinds always serialize");
-            mix(&mut h, kind.as_bytes());
+            fnv::fold(&mut h, kind.as_bytes());
         }
         drop(ring);
         let spans = self.spans.lock();
         for s in spans.iter() {
-            mix(&mut h, &s.trace.to_le_bytes());
-            mix(&mut h, &s.id.to_le_bytes());
-            mix(&mut h, &s.parent.unwrap_or(0).to_le_bytes());
-            mix(&mut h, s.name.as_bytes());
-            mix(&mut h, s.layer.name().as_bytes());
+            fnv::fold(&mut h, &s.trace.to_le_bytes());
+            fnv::fold(&mut h, &s.id.to_le_bytes());
+            fnv::fold(&mut h, &s.parent.unwrap_or(0).to_le_bytes());
+            fnv::fold(&mut h, s.name.as_bytes());
+            fnv::fold(&mut h, s.layer.name().as_bytes());
             for tag in s.secrecy.iter() {
-                mix(&mut h, &tag.to_le_bytes());
+                fnv::fold(&mut h, &tag.to_le_bytes());
             }
         }
         h

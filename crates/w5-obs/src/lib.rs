@@ -25,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
+pub mod fnv;
 pub mod histogram;
 pub mod label;
 pub mod ledger;
@@ -84,10 +85,9 @@ fn current() -> Option<Arc<Ledger>> {
 ///
 /// Scoped ledgers are thread-local, so a worker thread spawned inside a
 /// `scoped(..)` region records into the global ledger unless it installs
-/// its own scope. Harnesses that fan work out across threads (the
-/// differential concurrency oracle in `w5-sim`, the multi-threaded
-/// kernel bench) capture the parent's ledger with this before spawning
-/// and re-install it per worker via [`scoped`].
+/// its own scope. Code that hands work to other threads (the net
+/// pipeline's submit path) captures the caller's ledger with this and
+/// re-installs it on the worker via [`scoped`].
 pub fn current_scoped() -> Option<Arc<Ledger>> {
     current()
 }

@@ -2,20 +2,15 @@
 //!
 //! The sharded [`w5_kernel::Kernel`] claims to preserve, observable by
 //! observable, the behavior of the single-lock
-//! [`w5_kernel::ReferenceKernel`] it replaced. This module checks that
-//! claim the only way that scales: replay the *same seeded operation
-//! schedule* against both kernels — under real OS-thread interleavings
-//! and serially — and compare everything a syscall client or an auditor
-//! could see: per-process labels, capability bags, mailbox depths,
-//! lifecycle states, flow-decision counters, obs-ledger aggregates, and
-//! per-thread fault-injection reports.
+//! [`w5_kernel::ReferenceKernel`] it replaced. [`ConcSpec`] is a
+//! [`crate::diff::Oracle`]: the four-arm driver replays one seeded
+//! operation schedule against both kernels, under real OS-thread
+//! interleavings and serially, and compares everything a syscall client
+//! or an auditor could see: per-process labels, capability bags, mailbox
+//! depths, lifecycle states, flow-decision counters, obs-ledger
+//! aggregates, and per-thread fault-injection reports.
 //!
 //! # Why the schedules are interleaving-invariant
-//!
-//! A differential test is only as good as its oracle, and a concurrent
-//! oracle is only usable if the expected outcome does not depend on
-//! which interleaving the scheduler happened to pick. The generated
-//! schedules guarantee that by construction:
 //!
 //! * **Ownership** — thread `t` performs label changes, taints,
 //!   capability edits, receives and spawns *only* on its own processes.
@@ -29,11 +24,6 @@
 //!   before the threads even start. Only the *order* of messages in a
 //!   hub mailbox is timing-dependent, so the oracle compares mailbox
 //!   depths, not contents.
-//! * **Per-thread chaos** — each thread carries its own
-//!   [`w5_chaos::Injector`] (injector scopes are thread-local), so the
-//!   fault stream each op sequence experiences is a pure function of
-//!   `(seed, thread)` — identical between the concurrent run and the
-//!   serial replay.
 //! * **Pre-created tags** — all tags are created in single-threaded
 //!   setup, so the shared [`w5_difc::TagRegistry`] allocates identical
 //!   tag ids in every arm.
@@ -45,15 +35,17 @@
 //! Serial replays additionally expose the run's private
 //! [`w5_obs::Ledger::digest`]: with one thread the event stream itself
 //! is deterministic, so reference-serial and sharded-serial must agree
-//! bit-for-bit — the chaos-digest regression the tests pin.
+//! bit-for-bit — the kernel oracle's serial policy, and the chaos-digest
+//! regression the tests pin.
 
+use crate::diff::{Arm, Oracle, Run};
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread;
+use w5_chaos::{ChaosReport, FaultPlan, Site};
 use w5_difc::{CapSet, Capability, Label, LabelPair, Privilege, Tag, TagKind, TagRegistry};
 use w5_kernel::{
     Kernel, KernelStats, ProcessId, ReferenceKernel, ResourceLimits, SpawnSpec, Syscalls,
@@ -120,13 +112,13 @@ pub struct ConcOutcome {
     /// Obs-ledger denials per layer (exact atomics).
     pub ledger_denied: BTreeMap<String, u64>,
     /// Per-thread fault-injection tallies, in thread order.
-    pub faults: Vec<w5_chaos::ChaosReport>,
+    pub faults: Vec<ChaosReport>,
 }
 
 /// One step of a thread's schedule. All indices are taken modulo the
 /// thread's live process list at execution time.
 #[derive(Clone, Copy, Debug)]
-enum Op {
+pub enum Op {
     /// Send between two of the thread's own processes (flow verdict
     /// depends on both ends — both own-thread-deterministic).
     SendOwn { from: usize, to: usize },
@@ -149,350 +141,222 @@ enum Op {
     GrantMinus { who: usize },
 }
 
-fn gen_ops(spec: &ConcSpec, t: usize) -> Vec<Op> {
-    let mut rng = StdRng::seed_from_u64(
-        spec.seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    (0..spec.ops_per_thread)
-        .map(|_| match rng.gen_range(0..100u32) {
-            0..=49 => Op::SendOwn { from: rng.gen_range(0..64), to: rng.gen_range(0..64) },
-            50..=64 => Op::SendHub { from: rng.gen_range(0..64), hub: rng.gen_range(0..64) },
-            65..=74 => Op::Recv { who: rng.gen_range(0..64) },
-            75..=81 => Op::Taint { who: rng.gen_range(0..64) },
-            82..=86 => Op::Declass { who: rng.gen_range(0..64) },
-            87..=91 => Op::Spawn { from: rng.gen_range(0..64) },
-            92..=95 => Op::DropMinus { who: rng.gen_range(0..64) },
-            _ => Op::GrantMinus { who: rng.gen_range(0..64) },
-        })
-        .collect()
-}
-
-fn injector_for(spec: &ConcSpec, t: usize) -> Arc<w5_chaos::Injector> {
-    w5_chaos::Injector::new(
-        w5_chaos::FaultPlan::new(spec.seed ^ (t as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93))
-            .with(w5_chaos::Site::KernelSend, spec.fault_rate)
-            .with(w5_chaos::Site::KernelSpawn, spec.fault_rate),
-    )
-}
-
 /// One thread's working set: its tag, the global hub list, and its own
-/// (name, pid) process list, which grows as it spawns.
-struct ThreadCtx {
+/// (name, pid) process list: the setup processes, then each spawned
+/// child in order.
+pub struct ThreadCtx {
     t: usize,
     tag: Tag,
     hubs: Vec<ProcessId>,
     procs: Vec<(String, ProcessId)>,
-    spawned: usize,
 }
 
-fn apply_ops<K: Syscalls>(k: &K, ctx: &mut ThreadCtx, ops: &[Op]) {
-    let payload = Bytes::from_static(b"conc");
-    for op in ops {
-        match *op {
-            Op::SendOwn { from, to } => {
-                let f = ctx.procs[from % ctx.procs.len()].1;
-                let to = ctx.procs[to % ctx.procs.len()].1;
-                let _ = k.send(f, to, payload.clone(), CapSet::empty());
-            }
-            Op::SendHub { from, hub } => {
-                let f = ctx.procs[from % ctx.procs.len()].1;
-                let h = ctx.hubs[hub % ctx.hubs.len()];
-                let _ = k.send(f, h, payload.clone(), CapSet::empty());
-            }
-            Op::Recv { who } => {
-                let p = ctx.procs[who % ctx.procs.len()].1;
-                let _ = k.recv(p);
-            }
-            Op::Taint { who } => {
-                let p = ctx.procs[who % ctx.procs.len()].1;
-                let data = LabelPair::new(Label::singleton(ctx.tag), Label::empty());
-                let _ = k.taint_for_read(p, &data);
-            }
-            Op::Declass { who } => {
-                let p = ctx.procs[who % ctx.procs.len()].1;
-                let _ = k.change_labels(p, LabelPair::public());
-            }
-            Op::Spawn { from } => {
-                let parent = ctx.procs[from % ctx.procs.len()].1;
-                let Ok(labels) = k.labels(parent) else { continue };
-                let name = format!("t{}.c{}", ctx.t, ctx.spawned);
-                let spec = SpawnSpec {
-                    name: name.clone(),
-                    labels,
-                    grant: CapSet::empty(),
-                    limits: ResourceLimits::sandbox_default(),
-                };
-                if let Ok(pid) = k.spawn(parent, spec) {
-                    ctx.procs.push((name, pid));
-                    ctx.spawned += 1;
+impl Oracle for ConcSpec {
+    const HARNESS: &'static str = "concurrency";
+    const ENGINES: [&'static str; 2] = ["reference", "sharded"];
+    type Engine = Box<dyn Syscalls>;
+    type Thread = ThreadCtx;
+    type Op = Op;
+    type Report = ();
+    type Outcome = ConcOutcome;
+    type Cost = ();
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn gen_ops(&self, rng: &mut StdRng) -> Vec<Op> {
+        (0..self.ops_per_thread)
+            .map(|_| match rng.gen_range(0..100u32) {
+                0..=49 => Op::SendOwn { from: rng.gen_range(0..64), to: rng.gen_range(0..64) },
+                50..=64 => Op::SendHub { from: rng.gen_range(0..64), hub: rng.gen_range(0..64) },
+                65..=74 => Op::Recv { who: rng.gen_range(0..64) },
+                75..=81 => Op::Taint { who: rng.gen_range(0..64) },
+                82..=86 => Op::Declass { who: rng.gen_range(0..64) },
+                87..=91 => Op::Spawn { from: rng.gen_range(0..64) },
+                92..=95 => Op::DropMinus { who: rng.gen_range(0..64) },
+                _ => Op::GrantMinus { who: rng.gen_range(0..64) },
+            })
+            .collect()
+    }
+
+    fn faults(&self, plan: FaultPlan) -> FaultPlan {
+        plan.with(Site::KernelSend, self.fault_rate).with(Site::KernelSpawn, self.fault_rate)
+    }
+
+    /// Builds the arm's kernel, then hubs, per-thread processes and
+    /// per-thread tags in thread order, so pid streams and registry tag
+    /// ids start out aligned.
+    fn setup(&self, arm: Arm, locks: &lockdep::Recorder) -> (Box<dyn Syscalls>, Vec<ThreadCtx>) {
+        let registry = Arc::new(TagRegistry::new());
+        let k: Box<dyn Syscalls> = if arm.candidate() {
+            let k = Kernel::with_shards(self.shards, registry);
+            // New lock-order edges are labeled with the sharded kernel's
+            // relaxed-atomic counters, lock-free by construction. The
+            // reference kernel gets no provider: its stats live under the
+            // very lock whose acquisitions are being recorded.
+            let stats = k.clone();
+            locks.set_context_provider(Box::new(move || {
+                w5_obs::snapshot_json(&stats).unwrap_or_default()
+            }));
+            Box::new(k)
+        } else {
+            Box::new(ReferenceKernel::new(registry))
+        };
+        let public = |name: &str| {
+            let (labels, caps) = (LabelPair::public(), CapSet::empty());
+            k.create_process(name, labels, caps, ResourceLimits::unlimited())
+        };
+        let hubs: Vec<ProcessId> = (0..self.threads).map(|t| public(&format!("hub{t}"))).collect();
+        let ctxs = (0..self.threads)
+            .map(|t| {
+                let procs: Vec<(String, ProcessId)> = (0..PROCS_PER_THREAD)
+                    .map(|i| {
+                        let name = format!("t{t}.p{i}");
+                        let pid = public(&name);
+                        (name, pid)
+                    })
+                    .collect();
+                // p0 creates the thread's tag and so holds its `t-`; siblings
+                // start without it (only Taint/Grant/Drop ops move it later).
+                let tag = k
+                    .create_tag(procs[0].1, TagKind::ExportProtect, &format!("conc:t{t}"))
+                    .expect("fresh process can create a tag");
+                ThreadCtx { t, tag, hubs: hubs.clone(), procs }
+            })
+            .collect();
+        (k, ctxs)
+    }
+
+    fn apply(&self, k: &Box<dyn Syscalls>, ctx: &mut ThreadCtx, ops: &[Op]) {
+        let payload = Bytes::from_static(b"conc");
+        let mut minus = CapSet::empty();
+        minus.insert(Capability::minus(ctx.tag));
+        for op in ops {
+            let own = |i: usize| ctx.procs[i % ctx.procs.len()].1;
+            match *op {
+                Op::SendOwn { from, to } => {
+                    let _ = k.send(own(from), own(to), payload.clone(), CapSet::empty());
                 }
-            }
-            Op::DropMinus { who } => {
-                let p = ctx.procs[who % ctx.procs.len()].1;
-                let mut c = CapSet::empty();
-                c.insert(Capability::minus(ctx.tag));
-                let _ = k.drop_caps(p, &c);
-            }
-            Op::GrantMinus { who } => {
-                let p = ctx.procs[who % ctx.procs.len()].1;
-                let mut c = CapSet::empty();
-                c.insert(Capability::minus(ctx.tag));
-                let _ = k.grant_caps(p, &c);
+                Op::SendHub { from, hub } => {
+                    let h = ctx.hubs[hub % ctx.hubs.len()];
+                    let _ = k.send(own(from), h, payload.clone(), CapSet::empty());
+                }
+                Op::Recv { who } => {
+                    let _ = k.recv(own(who));
+                }
+                Op::Taint { who } => {
+                    let data = LabelPair::new(Label::singleton(ctx.tag), Label::empty());
+                    let _ = k.taint_for_read(own(who), &data);
+                }
+                Op::Declass { who } => {
+                    let _ = k.change_labels(own(who), LabelPair::public());
+                }
+                Op::Spawn { from } => {
+                    let parent = own(from);
+                    let Ok(labels) = k.labels(parent) else { continue };
+                    let name = format!("t{}.c{}", ctx.t, ctx.procs.len() - PROCS_PER_THREAD);
+                    let spec = SpawnSpec {
+                        name: name.clone(),
+                        labels,
+                        grant: CapSet::empty(),
+                        limits: ResourceLimits::sandbox_default(),
+                    };
+                    if let Ok(pid) = k.spawn(parent, spec) {
+                        ctx.procs.push((name, pid));
+                    }
+                }
+                Op::DropMinus { who } => {
+                    let _ = k.drop_caps(own(who), &minus);
+                }
+                Op::GrantMinus { who } => {
+                    let _ = k.grant_caps(own(who), &minus);
+                }
             }
         }
     }
-}
 
-/// Identical single-threaded setup for every arm: hubs, per-thread
-/// processes, per-thread tags — so pid streams and registry tag ids
-/// start out aligned.
-fn setup<K: Syscalls>(k: &K, spec: &ConcSpec) -> Vec<ThreadCtx> {
-    let hubs: Vec<ProcessId> = (0..spec.threads)
-        .map(|t| {
-            k.create_process(
-                &format!("hub{t}"),
-                LabelPair::public(),
-                CapSet::empty(),
-                ResourceLimits::unlimited(),
-            )
-        })
-        .collect();
-    (0..spec.threads)
-        .map(|t| {
-            let procs: Vec<(String, ProcessId)> = (0..PROCS_PER_THREAD)
-                .map(|i| {
-                    let name = format!("t{t}.p{i}");
-                    let pid = k.create_process(
-                        &name,
-                        LabelPair::public(),
-                        CapSet::empty(),
-                        ResourceLimits::unlimited(),
-                    );
-                    (name, pid)
-                })
-                .collect();
-            // p0 creates the thread's tag and so holds its `t-`; siblings
-            // start without it (only Taint/Grant/Drop ops move it later).
-            let tag = k
-                .create_tag(procs[0].1, TagKind::ExportProtect, &format!("conc:t{t}"))
-                .expect("fresh process can create a tag");
-            ThreadCtx { t, tag, hubs: hubs.clone(), procs, spawned: 0 }
-        })
-        .collect()
-}
-
-fn collect<K: Syscalls>(
-    k: &K,
-    ledger: &Ledger,
-    ctxs: &[ThreadCtx],
-    faults: Vec<w5_chaos::ChaosReport>,
-) -> ConcOutcome {
-    let mut all: Vec<(String, ProcessId)> = Vec::new();
-    for (t, ctx) in ctxs.iter().enumerate() {
-        all.push((format!("hub{t}"), ctx.hubs[t]));
-        all.extend(ctx.procs.iter().cloned());
-    }
-    let names: HashMap<ProcessId, String> =
-        all.iter().map(|(n, p)| (*p, n.clone())).collect();
-    let procs = all
-        .iter()
-        .map(|(name, pid)| {
-            let info = k.process_info(*pid).expect("workload never reaps");
-            let caps = k.caps(*pid).expect("workload never reaps");
-            let mut bag: Vec<(u64, bool)> = caps
-                .iter()
-                .map(|c| (c.tag.raw(), c.privilege == Privilege::Minus))
-                .collect();
-            bag.sort_unstable();
-            (
-                name.clone(),
-                ProcState {
-                    secrecy: info.labels.secrecy.iter().map(Tag::raw).collect(),
-                    integrity: info.labels.integrity.iter().map(Tag::raw).collect(),
-                    caps: bag,
-                    state: format!("{:?}", info.state),
-                    mailbox_len: info.mailbox_len,
-                    parent: info.parent.map(|p| names[&p].clone()),
-                },
-            )
-        })
-        .collect();
-    let agg = ledger.aggregate();
-    ConcOutcome {
-        procs,
-        stats: k.stats(),
-        ledger_events: agg.events,
-        ledger_denied: agg.denied,
-        faults,
-    }
-}
-
-/// Drive one kernel through the spec's schedule. `concurrent` selects
-/// real OS threads vs. a serial replay of the same per-thread sequences.
-/// Returns the outcome plus the private ledger's digest — meaningful for
-/// comparison only between serial runs (ring/event *order* is
-/// timing-dependent under threads; counts are not).
-fn run_with<K: Syscalls + Clone>(
-    k: &K,
-    spec: &ConcSpec,
-    concurrent: bool,
-    context: Option<Box<lockdep::ContextFn>>,
-) -> (ConcOutcome, u64) {
-    assert!(spec.threads >= 1, "need at least one thread");
-    // Private ledger first: setup events are part of the serial digest,
-    // exactly like the chaos harness.
-    let ledger = Arc::new(Ledger::new());
-    let _obs_guard = w5_obs::scoped(Arc::clone(&ledger));
-    // Private order graph second: every classed-lock acquisition this run
-    // makes (setup, workers, teardown) lands here and is checked against
-    // the declared manifest before the outcome is returned.
-    let recorder = crate::lockgate::recorder(context);
-    let _lock_guard = lockdep::scoped(Arc::clone(&recorder));
-
-    let mut ctxs = setup(k, spec);
-    let op_lists: Vec<Vec<Op>> = (0..spec.threads).map(|t| gen_ops(spec, t)).collect();
-    let injectors: Vec<Arc<w5_chaos::Injector>> =
-        (0..spec.threads).map(|t| injector_for(spec, t)).collect();
-
-    let faults: Vec<w5_chaos::ChaosReport> = if concurrent {
-        // Scoped ledgers are thread-local: capture this run's ledger and
-        // re-install it inside every worker so their syscalls record here,
-        // not into the process-global ledger.
-        let handoff = w5_obs::current_scoped().expect("scoped ledger installed above");
-        let lock_handoff = lockdep::current_scoped().expect("scoped recorder installed above");
-        thread::scope(|s| {
-            let handles: Vec<_> = ctxs
-                .iter_mut()
-                .zip(op_lists.iter())
-                .zip(injectors.iter())
-                .map(|((ctx, ops), inj)| {
-                    let k = k.clone();
-                    let handoff = Arc::clone(&handoff);
-                    let lock_handoff = Arc::clone(&lock_handoff);
-                    let inj = Arc::clone(inj);
-                    s.spawn(move || {
-                        let _obs = w5_obs::scoped(handoff);
-                        let _lockdep = lockdep::scoped(lock_handoff);
-                        let _chaos = w5_chaos::with_injector(Arc::clone(&inj));
-                        apply_ops(&k, ctx, ops);
-                        inj.report()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        })
-    } else {
-        ctxs.iter_mut()
-            .zip(op_lists.iter())
-            .zip(injectors.iter())
-            .map(|((ctx, ops), inj)| {
-                // Fresh injector scope per thread segment: the fault
-                // stream each sequence sees matches what its dedicated
-                // thread saw in the concurrent run.
-                let _chaos = w5_chaos::with_injector(Arc::clone(inj));
-                apply_ops(k, ctx, ops);
-                inj.report()
+    fn collect(
+        &self,
+        k: &Box<dyn Syscalls>,
+        ctxs: &[ThreadCtx],
+        _reports: Vec<()>,
+        faults: Vec<ChaosReport>,
+        ledger: &Ledger,
+    ) -> (ConcOutcome, ()) {
+        let mut all: Vec<(String, ProcessId)> = Vec::new();
+        for (t, ctx) in ctxs.iter().enumerate() {
+            all.push((format!("hub{t}"), ctx.hubs[t]));
+            all.extend(ctx.procs.iter().cloned());
+        }
+        let names: HashMap<ProcessId, String> =
+            all.iter().map(|(n, p)| (*p, n.clone())).collect();
+        let procs = all
+            .iter()
+            .map(|(name, pid)| {
+                let info = k.process_info(*pid).expect("workload never reaps");
+                let caps = k.caps(*pid).expect("workload never reaps");
+                let mut bag: Vec<(u64, bool)> = caps
+                    .iter()
+                    .map(|c| (c.tag.raw(), c.privilege == Privilege::Minus))
+                    .collect();
+                bag.sort_unstable();
+                (
+                    name.clone(),
+                    ProcState {
+                        secrecy: info.labels.secrecy.iter().map(Tag::raw).collect(),
+                        integrity: info.labels.integrity.iter().map(Tag::raw).collect(),
+                        caps: bag,
+                        state: format!("{:?}", info.state),
+                        mailbox_len: info.mailbox_len,
+                        parent: info.parent.map(|p| names[&p].clone()),
+                    },
+                )
             })
-            .collect()
-    };
+            .collect();
+        let agg = ledger.aggregate();
+        let outcome = ConcOutcome {
+            procs,
+            stats: k.stats(),
+            ledger_events: agg.events,
+            ledger_denied: agg.denied,
+            faults,
+        };
+        (outcome, ())
+    }
 
-    let outcome = collect(k, &ledger, &ctxs, faults);
-    recorder.note("harness", "concurrency");
-    recorder.note("threads", &spec.threads.to_string());
-    crate::lockgate::enforce(&recorder, "concurrency");
-    (outcome, ledger.digest())
-}
-
-/// Sharded kernel under real thread interleavings.
-pub fn run_sharded_concurrent(spec: &ConcSpec) -> ConcOutcome {
-    let k = Kernel::with_shards(spec.shards, Arc::new(TagRegistry::new()));
-    let ctx = stats_context(&k);
-    run_with(&k, spec, true, Some(ctx)).0
-}
-
-/// Edge-context provider for the sharded arms: the kernel's relaxed-atomic
-/// counter snapshot, serialized. Lock-free by construction (the provider
-/// contract), so it can run in the middle of any acquisition.
-fn stats_context(k: &Kernel) -> Box<lockdep::ContextFn> {
-    let k = k.clone();
-    Box::new(move || w5_obs::snapshot_json(&k).unwrap_or_default())
-}
-
-/// Single-lock reference kernel under real thread interleavings (the
-/// trivially linearizable baseline).
-pub fn run_reference_concurrent(spec: &ConcSpec) -> ConcOutcome {
-    let k = ReferenceKernel::new(Arc::new(TagRegistry::new()));
-    // No context provider: the reference kernel's stats live under the very
-    // lock whose acquisitions are being recorded.
-    run_with(&k, spec, true, None).0
-}
-
-/// Sharded kernel, serial replay. The digest covers the full private
-/// event stream and is comparable against [`run_reference_serial`].
-pub fn run_sharded_serial(spec: &ConcSpec) -> (ConcOutcome, u64) {
-    let k = Kernel::with_shards(spec.shards, Arc::new(TagRegistry::new()));
-    let ctx = stats_context(&k);
-    run_with(&k, spec, false, Some(ctx))
-}
-
-/// Reference kernel, serial replay, with digest.
-pub fn run_reference_serial(spec: &ConcSpec) -> (ConcOutcome, u64) {
-    let k = ReferenceKernel::new(Arc::new(TagRegistry::new()));
-    run_with(&k, spec, false, None)
-}
-
-/// The full four-arm differential check, used by tests and CI: sharded
-/// concurrent ≡ reference concurrent ≡ reference serial ≡ sharded
-/// serial, plus bit-identical serial digests. Panics with a labeled diff
-/// on the first mismatch.
-pub fn assert_differential(spec: &ConcSpec) {
-    let (ref_serial, ref_digest) = run_reference_serial(spec);
-    let (shard_serial, shard_digest) = run_sharded_serial(spec);
-    assert_eq!(
-        ref_serial, shard_serial,
-        "serial replay diverged between reference and sharded kernels"
-    );
-    assert_eq!(
-        ref_digest, shard_digest,
-        "serial ledger digests diverged: the kernels emitted different event streams"
-    );
-    let shard_conc = run_sharded_concurrent(spec);
-    assert_eq!(
-        ref_serial, shard_conc,
-        "sharded kernel under threads diverged from the serial oracle"
-    );
-    let ref_conc = run_reference_concurrent(spec);
-    assert_eq!(
-        ref_serial, ref_conc,
-        "reference kernel under threads diverged from its own serial replay \
-         (schedule is not interleaving-invariant — harness bug)"
-    );
+    /// Both kernels must emit the *same event stream*, not merely the
+    /// same counts, when driven serially by one schedule.
+    fn check_serial(&self, reference: &Run<Self>, sharded: &Run<Self>) {
+        assert_eq!(
+            reference.ledger_digest, sharded.ledger_digest,
+            "serial ledger digests diverged: the kernels emitted different event streams"
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{check, run};
 
     #[test]
     fn four_arms_agree_on_default_spec() {
-        assert_differential(&ConcSpec { seed: 2007, threads: 4, ops_per_thread: 150, fault_rate: 0.05, shards: 16 });
+        check(&ConcSpec { seed: 2007, threads: 4, ops_per_thread: 150, fault_rate: 0.05, shards: 16 });
     }
 
     #[test]
     fn calm_run_agrees_without_faults() {
         let spec = ConcSpec { seed: 9, threads: 2, ops_per_thread: 120, fault_rate: 0.0, shards: 4 };
-        assert_differential(&spec);
-        let (out, _) = run_sharded_serial(&spec);
+        check(&spec);
+        let out = run(&spec, Arm::CandidateSerial).outcome;
         assert_eq!(out.faults.iter().map(|f| f.total_injected()).sum::<u64>(), 0);
     }
 
     #[test]
     fn workload_actually_exercises_flow_machinery() {
         let spec = ConcSpec::new(20070824);
-        let (out, _) = run_sharded_serial(&spec);
+        let out = run(&spec, Arm::CandidateSerial).outcome;
         assert!(out.stats.sends_checked > 0);
         assert!(out.stats.sends_dropped > 0, "taint must force some drops");
         assert!(out.stats.label_changes_denied > 0, "declass without t- must be denied");

@@ -11,6 +11,9 @@
 //!   trustworthy core, for the CodeRank quality experiment (E6).
 //! * [`workload`] — weighted request mixes for the throughput/latency
 //!   experiments (E4).
+//! * [`diff`] — the four-arm differential driver behind the kernel
+//!   ([`concurrency`]), store ([`storediff`]) and net ([`netdiff`])
+//!   oracles.
 //! * [`histogram`] — log-bucketed latency histograms with percentiles
 //!   (promoted to `w5-obs` so the whole stack shares one implementation;
 //!   re-exported here for the experiment binaries).
@@ -23,6 +26,7 @@
 pub mod chaos;
 pub mod concurrency;
 pub mod depgraph;
+pub mod diff;
 pub mod differential;
 pub mod lockgate;
 pub mod netdiff;
@@ -33,19 +37,11 @@ pub mod table;
 pub mod workload;
 
 pub use chaos::{run_chaos, ChaosOutcome, ChaosSpec};
-pub use concurrency::{
-    assert_differential, run_reference_concurrent, run_reference_serial, run_sharded_concurrent,
-    run_sharded_serial, ConcOutcome, ConcSpec, ProcState,
-};
+pub use concurrency::{ConcOutcome, ConcSpec, ProcState};
+pub use diff::{Arm, Oracle, Run};
 pub use differential::{run_differential, DiffOutcome, DiffSpec};
-pub use netdiff::{
-    assert_net_differential, run_pipeline_storm, run_pipelined_concurrent, run_pipelined_serial,
-    NetOutcome, NetRun, NetSpec, StormReport,
-};
-pub use storediff::{
-    assert_store_differential, run_partitioned_concurrent, run_partitioned_serial, StoreOutcome,
-    StoreRun, StoreSpec,
-};
+pub use netdiff::{run_pipeline_storm, NetOutcome, NetRun, NetSpec, StormReport};
+pub use storediff::{StoreOutcome, StoreRun, StoreSpec};
 pub use w5_obs::{histogram, Histogram};
 pub use population::{build_population, PopulationConfig, World};
 pub use table::Table;

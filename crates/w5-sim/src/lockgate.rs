@@ -1,30 +1,19 @@
-//! Lock-order gate shared by the concurrency and store harnesses.
+//! Lock-order gate for the differential oracles.
 //!
-//! Each harness run installs a scoped [`w5_sync::lockdep::Recorder`] and
-//! hands it into every worker thread (exactly like the scoped ledger and
-//! chaos injectors), so the run leaves behind an order graph of every
-//! classed-lock acquisition it performed. [`enforce`] then replays that
-//! graph through `w5-lockdep` against the workspace manifest and panics
-//! if any finding reaches the deny threshold — a deadlock hazard observed
-//! under test is a test failure, not a log line.
+//! Each arm of [`crate::diff::run`] installs a scoped
+//! [`w5_sync::lockdep::Recorder`] and hands it into every worker thread
+//! (exactly like the scoped ledger and chaos injectors), so the arm leaves
+//! behind an order graph of every classed-lock acquisition it performed.
+//! [`enforce`] then replays that graph through `w5-lockdep` against the
+//! workspace manifest and panics if any finding reaches the deny
+//! threshold — a deadlock hazard observed under test is a test failure,
+//! not a log line.
 //!
 //! The threshold comes from `W5_LOCKDEP_DENY` (`info` | `warning` |
 //! `error`, default `error`); set it to `off` to record without gating.
 
-use std::sync::Arc;
 use w5_lockdep::{analyze, Manifest, Severity};
 use w5_sync::lockdep;
-
-/// A fresh recorder for one harness run, with an optional lock-free
-/// context provider (sampled once per new acquisition edge, so findings
-/// can name the operation mix that was active when the edge appeared).
-pub fn recorder(context: Option<Box<lockdep::ContextFn>>) -> Arc<lockdep::Recorder> {
-    let rec = Arc::new(lockdep::Recorder::new());
-    if let Some(ctx) = context {
-        rec.set_context_provider(ctx);
-    }
-    rec
-}
 
 /// The deny threshold from `W5_LOCKDEP_DENY`; `None` means the gate is off.
 fn deny_threshold() -> Option<Severity> {
@@ -55,10 +44,11 @@ pub fn enforce(recorder: &lockdep::Recorder, harness: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn clean_run_passes_the_gate() {
-        let rec = recorder(None);
+        let rec = Arc::new(lockdep::Recorder::new());
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
             let a = w5_sync::Mutex::with_index("kernel.shard", 0, ());
@@ -72,7 +62,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lock-order findings")]
     fn inverted_run_panics() {
-        let rec = recorder(None);
+        let rec = Arc::new(lockdep::Recorder::new());
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
             let a = w5_sync::Mutex::with_index("kernel.shard", 0, ());

@@ -4,11 +4,11 @@
 //! by response, the behavior of the seed's thread-per-connection dispatch
 //! (kept verbatim as [`w5_net::InlineServe`] behind the [`w5_net::Serve`]
 //! trait) — while adding bounded per-class queues, deficit-round-robin
-//! fairness and admission control in front of the handler. This module
-//! checks that claim the way the kernel and store oracles do: replay the
-//! *same seeded request schedule* through both engines — under real OS
-//! threads and serially — and compare everything an HTTP client could
-//! see: status codes, bodies, and the platform's retained fault log.
+//! fairness and admission control in front of the handler. [`NetSpec`] is
+//! a [`crate::diff::Oracle`]: the four-arm driver replays one seeded
+//! request schedule through both engines, under real OS threads and
+//! serially, and compares everything an HTTP client could see: status
+//! codes, bodies, and the platform's retained fault log.
 //!
 //! What is deliberately **excluded** from the comparison is the queue
 //! metadata the pipeline emits into the obs ledger (`QueueAdmit`,
@@ -23,11 +23,11 @@
 //! * **Ownership** — client `c` targets only its own app `nd{c}/app{c}`
 //!   and that app touches only its own table `ndt{c}`, so every response
 //!   is a pure function of one client's deterministic request sequence.
-//! * **Per-client chaos** — each client carries its own
-//!   [`w5_chaos::Injector`] for `Site::SqlQuery`. The pipeline captures
-//!   the submitter's ambient injector per job and re-installs it on the
-//!   worker, so the abort stream a client's handlers experience depends
-//!   only on `(seed, client)` — identical across all four arms.
+//! * **Per-client chaos follows the job** — each client's injector arms
+//!   `Site::SqlQuery`. The pipeline captures the submitter's ambient
+//!   injector per job and re-installs it on the worker, so the abort
+//!   stream a client's handlers experience depends only on
+//!   `(seed, client)`, whichever thread runs them.
 //! * **Admission without charging** — the oracle arms classify requests
 //!   (so DRR fairness and per-class queues are really exercised) but
 //!   never charge: resource-container verdicts depend on shared counters
@@ -41,24 +41,26 @@
 //! header and a labeled fault-report body — never a hang, never a
 //! malformed response.
 
+use crate::diff::{self, Arm, Oracle, Run};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread;
+use w5_chaos::{ChaosReport, FaultPlan, Injector, Site};
 use w5_difc::LabelPair;
 use w5_net::{
     Admission, ChargeDenied, ChargePoint, Handler, InlineServe, Pipeline, PipelineConfig,
     PipelineSnapshot, PrincipalClass, Request, Response, Serve,
 };
-use w5_obs::{EventKind, Ledger};
+use w5_obs::{fnv, EventKind, Ledger};
 use w5_platform::{
     ApiError, AppManifest, AppRequest, AppResponse, CreateLabels, Gateway, Platform, PlatformApi,
     W5App,
 };
 use w5_store::{QueryCost, QueryMode, Subject};
-use w5_sync::lockdep;
+use w5_sync::lockdep::Recorder;
 
 /// Insert/point ids are drawn from this domain, small enough that gets,
 /// deletes and re-inserts regularly collide with live rows.
@@ -100,21 +102,15 @@ pub struct NetOutcome {
     pub faults: Vec<String>,
 }
 
-/// One arm's result: the comparable outcome plus the arm's private
-/// ledger digest with the pipeline's queue-metadata events filtered out.
-#[derive(Clone, Debug)]
-pub struct NetRun {
-    /// The interleaving-invariant observable surface.
-    pub outcome: NetOutcome,
-    /// `Ledger::digest_where` over everything except `QueueAdmit` /
-    /// `QueueShed` / `WorkerOccupancy` — comparable across engines for
-    /// serial arms, and across repeated serial runs of one engine.
-    pub ledger_digest: u64,
-}
+/// One arm's result. Its ledger digest is `Ledger::digest_where` over
+/// everything except `QueueAdmit` / `QueueShed` / `WorkerOccupancy` —
+/// comparable across engines for serial arms, and across repeated serial
+/// runs of one engine.
+pub type NetRun = Run<NetSpec>;
 
 /// One request of a client's schedule.
 #[derive(Clone, Debug)]
-enum Op {
+pub enum Op {
     /// `PUT`-shaped insert into the client's own table.
     Put { id: i64, v: i64 },
     /// Point lookup.
@@ -132,30 +128,6 @@ enum Op {
     Missing,
 }
 
-fn gen_ops(spec: &NetSpec, c: usize) -> Vec<Op> {
-    let mut rng = StdRng::seed_from_u64(
-        spec.seed ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    (0..spec.requests_per_client)
-        .map(|_| match rng.gen_range(0..100u32) {
-            0..=29 => Op::Put { id: rng.gen_range(0..ID_DOMAIN), v: rng.gen_range(0..1000) },
-            30..=54 => Op::Get { id: rng.gen_range(0..ID_DOMAIN) },
-            55..=66 => Op::Sum,
-            67..=81 => Op::Del { id: rng.gen_range(0..ID_DOMAIN) },
-            82..=87 => Op::Boom,
-            88..=93 => Op::Registry,
-            _ => Op::Missing,
-        })
-        .collect()
-}
-
-fn injector_for(spec: &NetSpec, c: usize) -> Arc<w5_chaos::Injector> {
-    w5_chaos::Injector::new(
-        w5_chaos::FaultPlan::new(spec.seed ^ (c as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93))
-            .with(w5_chaos::Site::SqlQuery, spec.fault_rate),
-    )
-}
-
 /// The per-client harness application: four SQL actions on the client's
 /// own table plus a deliberate panic. Every response body is a pure
 /// function of the table state the client's own requests built.
@@ -169,40 +141,31 @@ impl W5App for NdApp {
         let param = |k: &str| -> i64 {
             req.params.get(k).and_then(|v| v.parse().ok()).unwrap_or(0)
         };
-        match req.action.as_str() {
+        let mut query = |sql: String| api.query(&sql, CreateLabels::Derived);
+        let body = match req.action.as_str() {
             "put" => {
-                let out = api.query(
-                    &format!("INSERT INTO {t} VALUES ({}, {})", param("id"), param("v")),
-                    CreateLabels::Derived,
-                )?;
-                Ok(AppResponse::text(format!("put {}", out.affected)))
+                let (id, v) = (param("id"), param("v"));
+                format!("put {}", query(format!("INSERT INTO {t} VALUES ({id}, {v})"))?.affected)
             }
             "get" => {
-                let out = api.query(
-                    &format!("SELECT v FROM {t} WHERE id = {} ORDER BY v", param("id")),
-                    CreateLabels::Derived,
-                )?;
+                let id = param("id");
+                let out = query(format!("SELECT v FROM {t} WHERE id = {id} ORDER BY v"))?;
                 let vals: Vec<String> =
                     out.rows.iter().map(|r| format!("{:?}", r.values)).collect();
-                Ok(AppResponse::text(vals.join(";")))
+                vals.join(";")
             }
             "sum" => {
-                let out = api.query(
-                    &format!("SELECT COUNT(*), SUM(v) FROM {t}"),
-                    CreateLabels::Derived,
-                )?;
-                Ok(AppResponse::text(format!("{:?}", out.rows[0].values)))
+                let out = query(format!("SELECT COUNT(*), SUM(v) FROM {t}"))?;
+                format!("{:?}", out.rows[0].values)
             }
             "del" => {
-                let out = api.query(
-                    &format!("DELETE FROM {t} WHERE id = {}", param("id")),
-                    CreateLabels::Derived,
-                )?;
-                Ok(AppResponse::text(format!("del {}", out.affected)))
+                let out = query(format!("DELETE FROM {t} WHERE id = {}", param("id")))?;
+                format!("del {}", out.affected)
             }
             "boom" => panic!("netdiff boom"),
-            other => Ok(AppResponse::text(format!("noop {other}"))),
-        }
+            other => format!("noop {other}"),
+        };
+        Ok(AppResponse::text(body))
     }
 
     fn source_lines(&self) -> usize {
@@ -210,12 +173,11 @@ impl W5App for NdApp {
     }
 }
 
-/// Identical single-threaded setup for every arm: one table, one
-/// manifest and one installed app per client, created in client order so
-/// tag and version allocation aligns across arms.
-fn setup(platform: &Arc<Platform>, spec: &NetSpec) {
+/// One table, one manifest and one installed app per client, created in
+/// client order so tag and version allocation aligns across arms.
+fn install(platform: &Platform, clients: usize) {
     let trusted = Subject::anonymous();
-    for c in 0..spec.clients {
+    for c in 0..clients {
         platform
             .db
             .execute(
@@ -287,227 +249,144 @@ fn build_request(c: usize, op: &Op) -> Request {
     req
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fold(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Fold one response into a client digest: status and body, nothing that
-/// could encode queue position or timing.
-fn fold_response(h: &mut u64, i: usize, resp: &Response) {
-    fold(h, &(i as u64).to_le_bytes());
-    fold(h, &resp.status.0.to_le_bytes());
-    fold(h, &resp.body);
-    fold(h, b"|");
-}
-
-/// Events the pipeline emits about its own queues — excluded from
-/// cross-engine ledger comparison because the reference engine has no
-/// queues to report on.
-fn is_queue_metadata(kind: &EventKind) -> bool {
-    matches!(
-        kind,
-        EventKind::QueueAdmit { .. }
-            | EventKind::QueueShed { .. }
-            | EventKind::WorkerOccupancy { .. }
-    )
-}
-
 fn peer(c: usize) -> SocketAddr {
     format!("127.0.0.1:{}", 40_000 + c).parse().expect("static addr")
 }
 
-/// One pass over a client's schedule: per-response digest fold plus a
-/// human-readable status tally.
+/// One pass over a client's schedule: a digest folded over every response
+/// (status and body, nothing that could encode queue position or timing)
+/// plus a human-readable status tally.
 fn drive_client(engine: &dyn Serve, c: usize, ops: &[Op]) -> (u64, BTreeMap<u16, u64>) {
-    let mut h = FNV_OFFSET;
+    let mut h = fnv::OFFSET;
     let mut counts = BTreeMap::new();
     for (i, op) in ops.iter().enumerate() {
         let resp = engine.serve(build_request(c, op), peer(c));
-        fold_response(&mut h, i, &resp);
+        fnv::fold(&mut h, &(i as u64).to_le_bytes());
+        fnv::fold(&mut h, &resp.status.0.to_le_bytes());
+        fnv::fold(&mut h, &resp.body);
+        fnv::fold(&mut h, b"|");
         *counts.entry(resp.status.0).or_insert(0) += 1;
     }
     (h, counts)
 }
 
-/// Drive one engine through the spec's schedule. `concurrent` selects
-/// real OS threads (one per client) vs. a serial replay of the same
-/// per-client sequences.
-fn run_arm(spec: &NetSpec, pipelined: bool, concurrent: bool) -> NetRun {
-    assert!(spec.clients >= 1, "need at least one client");
-    let ledger = Arc::new(Ledger::new());
-    let _obs_guard = w5_obs::scoped(Arc::clone(&ledger));
-    let recorder = crate::lockgate::recorder(None);
-    let _lock_guard = lockdep::scoped(Arc::clone(&recorder));
+/// One arm's engine: the platform behind a gateway, served inline
+/// (reference) or through a staged pipeline (candidate).
+pub struct NetEngine {
+    platform: Arc<Platform>,
+    pipeline: Option<Arc<Pipeline>>,
+    serve: Arc<dyn Serve>,
+}
 
-    let platform = Platform::new_default("netdiff");
-    setup(&platform, spec);
-    let gateway: Arc<dyn Handler> = Arc::new(Gateway::new(Arc::clone(&platform)));
-    // Pipeline workers are spawned *inside* the scoped ledger/recorder so
-    // handler activity on worker threads records into this arm.
-    let pipeline = if pipelined {
-        Some(Pipeline::start(
-            PipelineConfig {
-                workers: 4,
-                shards: 2,
-                chaos: None,
-                ..PipelineConfig::default()
-            },
-            Arc::clone(&gateway),
-            Arc::new(ClassifyOnly),
-        ))
-    } else {
-        None
-    };
-    let engine: Arc<dyn Serve> = match &pipeline {
-        Some(p) => Arc::clone(p) as Arc<dyn Serve>,
-        None => Arc::new(InlineServe::new(gateway)),
-    };
+impl Oracle for NetSpec {
+    const HARNESS: &'static str = "netdiff";
+    const ENGINES: [&'static str; 2] = ["reference", "pipelined"];
+    type Engine = NetEngine;
+    type Thread = usize;
+    type Op = Op;
+    /// Per-client response digest and status tally.
+    type Report = (u64, BTreeMap<u16, u64>);
+    type Outcome = NetOutcome;
+    type Cost = ();
 
-    let op_lists: Vec<Vec<Op>> = (0..spec.clients).map(|c| gen_ops(spec, c)).collect();
-    let injectors: Vec<Arc<w5_chaos::Injector>> =
-        (0..spec.clients).map(|c| injector_for(spec, c)).collect();
+    fn seed(&self) -> u64 {
+        self.seed
+    }
 
-    let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
-    let digests: Vec<u64> = if concurrent {
-        let handoff = w5_obs::current_scoped().expect("scoped ledger installed above");
-        let lock_handoff = lockdep::current_scoped().expect("scoped recorder installed above");
-        let results: Vec<(u64, BTreeMap<u16, u64>)> = thread::scope(|s| {
-            let handles: Vec<_> = op_lists
-                .iter()
-                .zip(injectors.iter())
-                .enumerate()
-                .map(|(c, (ops, inj))| {
-                    let handoff = Arc::clone(&handoff);
-                    let lock_handoff = Arc::clone(&lock_handoff);
-                    let inj = Arc::clone(inj);
-                    let engine = Arc::clone(&engine);
-                    s.spawn(move || {
-                        let _obs = w5_obs::scoped(handoff);
-                        let _lockdep = lockdep::scoped(lock_handoff);
-                        // The ambient injector is captured per job at
-                        // submit and re-installed on the worker, so the
-                        // handler-stage fault stream follows the client.
-                        let _chaos = w5_chaos::with_injector(Arc::clone(&inj));
-                        drive_client(engine.as_ref(), c, ops)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread panicked"))
-                .collect()
+    fn gen_ops(&self, rng: &mut StdRng) -> Vec<Op> {
+        (0..self.requests_per_client)
+            .map(|_| match rng.gen_range(0..100u32) {
+                0..=29 => Op::Put { id: rng.gen_range(0..ID_DOMAIN), v: rng.gen_range(0..1000) },
+                30..=54 => Op::Get { id: rng.gen_range(0..ID_DOMAIN) },
+                55..=66 => Op::Sum,
+                67..=81 => Op::Del { id: rng.gen_range(0..ID_DOMAIN) },
+                82..=87 => Op::Boom,
+                88..=93 => Op::Registry,
+                _ => Op::Missing,
+            })
+            .collect()
+    }
+
+    fn faults(&self, plan: FaultPlan) -> FaultPlan {
+        plan.with(Site::SqlQuery, self.fault_rate)
+    }
+
+    /// Runs inside the arm's scoped ledger and recorder, so pipeline
+    /// workers (spawned here) record handler activity into this arm. Each
+    /// thread's working set is its client index.
+    fn setup(&self, arm: Arm, _locks: &Recorder) -> (NetEngine, Vec<usize>) {
+        let platform = Platform::new_default("netdiff");
+        install(&platform, self.clients);
+        let gateway: Arc<dyn Handler> = Arc::new(Gateway::new(Arc::clone(&platform)));
+        let pipeline = arm.candidate().then(|| {
+            Pipeline::start(
+                PipelineConfig { workers: 4, shards: 2, chaos: None, ..PipelineConfig::default() },
+                Arc::clone(&gateway),
+                Arc::new(ClassifyOnly),
+            )
         });
-        for (_, counts) in &results {
+        let serve: Arc<dyn Serve> = match &pipeline {
+            Some(p) => Arc::clone(p) as Arc<dyn Serve>,
+            None => Arc::new(InlineServe::new(gateway)),
+        };
+        (NetEngine { platform, pipeline, serve }, (0..self.clients).collect())
+    }
+
+    fn apply(&self, engine: &NetEngine, c: &mut usize, ops: &[Op]) -> (u64, BTreeMap<u16, u64>) {
+        drive_client(engine.serve.as_ref(), *c, ops)
+    }
+
+    fn collect(
+        &self,
+        engine: &NetEngine,
+        _clients: &[usize],
+        reports: Vec<(u64, BTreeMap<u16, u64>)>,
+        _faults: Vec<ChaosReport>,
+        _ledger: &Ledger,
+    ) -> (NetOutcome, ()) {
+        if let Some(p) = &engine.pipeline {
+            p.stop();
+            let snap = p.stats.snapshot();
+            assert_eq!(snap.shed, 0, "oracle arms must never shed (queues sized for the load)");
+            assert_eq!(snap.quota_denied, 0, "ClassifyOnly never charges");
+        }
+        let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
+        for (_, counts) in &reports {
             for (status, n) in counts {
                 *statuses.entry(*status).or_insert(0) += n;
             }
         }
-        results.into_iter().map(|(d, _)| d).collect()
-    } else {
-        op_lists
-            .iter()
-            .zip(injectors.iter())
-            .enumerate()
-            .map(|(c, (ops, inj))| {
-                let _chaos = w5_chaos::with_injector(Arc::clone(inj));
-                let (digest, counts) = drive_client(engine.as_ref(), c, ops);
-                for (status, n) in counts {
-                    *statuses.entry(status).or_insert(0) += n;
-                }
-                digest
-            })
-            .collect()
-    };
-
-    if let Some(p) = &pipeline {
-        p.stop();
-        let snap = p.stats.snapshot();
-        assert_eq!(snap.shed, 0, "oracle arms must never shed (queues sized for the load)");
-        assert_eq!(snap.quota_denied, 0, "ClassifyOnly never charges");
+        let digests = reports.into_iter().map(|(d, _)| d).collect();
+        let mut faults: Vec<String> =
+            engine.platform.fault_reports().iter().map(|f| f.to_log_line()).collect();
+        faults.sort();
+        (NetOutcome { digests, statuses, faults }, ())
     }
 
-    let mut faults: Vec<String> =
-        platform.fault_reports().iter().map(|f| f.to_log_line()).collect();
-    faults.sort();
-
-    recorder.note("harness", "netdiff");
-    recorder.note("engine", if pipelined { "pipeline" } else { "reference" });
-    crate::lockgate::enforce(&recorder, "netdiff");
-
-    NetRun {
-        outcome: NetOutcome { digests, statuses, faults },
-        ledger_digest: ledger.digest_where(|k| !is_queue_metadata(k)),
+    /// Excludes the events the pipeline emits about its own queues: the
+    /// reference engine has no queues to report on.
+    fn digest(&self, ledger: &Ledger) -> u64 {
+        ledger.digest_where(|kind| {
+            !matches!(
+                kind,
+                EventKind::QueueAdmit { .. }
+                    | EventKind::QueueShed { .. }
+                    | EventKind::WorkerOccupancy { .. }
+            )
+        })
     }
-}
 
-/// Reference (seed thread-per-connection semantics), serial replay.
-pub fn run_reference_serial(spec: &NetSpec) -> NetRun {
-    run_arm(spec, false, false)
-}
-
-/// Staged pipeline, serial replay.
-pub fn run_pipelined_serial(spec: &NetSpec) -> NetRun {
-    run_arm(spec, true, false)
-}
-
-/// Reference engine under real client threads.
-pub fn run_reference_concurrent(spec: &NetSpec) -> NetRun {
-    run_arm(spec, false, true)
-}
-
-/// Staged pipeline under real client threads — queues, DRR rotation and
-/// worker hand-offs all live.
-pub fn run_pipelined_concurrent(spec: &NetSpec) -> NetRun {
-    run_arm(spec, true, true)
-}
-
-/// The full four-arm differential check, used by tests and CI: pipelined
-/// concurrent ≡ reference concurrent ≡ reference serial ≡ pipelined
-/// serial on the whole observable surface, with serial event streams
-/// (queue metadata aside) bit-identical across engines and stable under
-/// replay. Panics with a labeled diff on the first mismatch.
-pub fn assert_net_differential(spec: &NetSpec) {
-    let ref_serial = run_reference_serial(spec);
-    let pipe_serial = run_pipelined_serial(spec);
-    assert_eq!(
-        ref_serial.outcome, pipe_serial.outcome,
-        "serial replay diverged between reference and pipelined engines"
-    );
-    // Queue metadata aside, the pipeline must drive the platform through
-    // the same event stream the reference does.
-    assert_eq!(
-        ref_serial.ledger_digest, pipe_serial.ledger_digest,
-        "serial ledger streams diverged between engines (beyond queue metadata)"
-    );
-    // Replay determinism: a second serial run of each engine must emit a
-    // bit-identical private event stream.
-    let ref_again = run_reference_serial(spec);
-    assert_eq!(
-        ref_serial.ledger_digest, ref_again.ledger_digest,
-        "reference serial ledger digest is not replay-deterministic"
-    );
-    let pipe_again = run_pipelined_serial(spec);
-    assert_eq!(
-        pipe_serial.ledger_digest, pipe_again.ledger_digest,
-        "pipelined serial ledger digest is not replay-deterministic"
-    );
-    let pipe_conc = run_pipelined_concurrent(spec);
-    assert_eq!(
-        ref_serial.outcome, pipe_conc.outcome,
-        "pipelined engine under threads diverged from the serial oracle"
-    );
-    let ref_conc = run_reference_concurrent(spec);
-    assert_eq!(
-        ref_serial.outcome, ref_conc.outcome,
-        "reference engine under threads diverged from its own serial replay \
-         (schedule is not interleaving-invariant — harness bug)"
-    );
+    /// Queue metadata aside, the pipeline must drive the platform through
+    /// the same event stream the reference does, and each engine's serial
+    /// stream must replay bit for bit.
+    fn check_serial(&self, reference: &NetRun, pipelined: &NetRun) {
+        assert_eq!(
+            reference.ledger_digest, pipelined.ledger_digest,
+            "serial ledger streams diverged between engines (beyond queue metadata)"
+        );
+        diff::assert_replays(self, reference);
+        diff::assert_replays(self, pipelined);
+    }
 }
 
 /// Storm verdict: the pipeline's own fault sites armed, overload forced,
@@ -528,14 +407,11 @@ pub struct StormReport {
 /// and every 503 carries a positive `Retry-After` and a labeled
 /// fault-report body. Panics on the first malformed answer.
 pub fn run_pipeline_storm(spec: &NetSpec) -> StormReport {
-    let injector = w5_chaos::Injector::new(
-        w5_chaos::FaultPlan::new(spec.seed)
-            .with(w5_chaos::Site::NetQueueFull, 0.15)
-            .with(w5_chaos::Site::NetSlowWorker, 0.10),
+    let injector = Injector::new(
+        FaultPlan::new(spec.seed).with(Site::NetQueueFull, 0.15).with(Site::NetSlowWorker, 0.10),
     );
     let platform = Platform::new_default("netdiff-storm");
-    setup(&platform, spec);
-    let gateway: Arc<dyn Handler> = Arc::new(Gateway::new(Arc::clone(&platform)));
+    install(&platform, spec.clients);
     let pipeline = Pipeline::start(
         PipelineConfig {
             workers: 2,
@@ -544,52 +420,23 @@ pub fn run_pipeline_storm(spec: &NetSpec) -> StormReport {
             chaos: Some(Arc::clone(&injector)),
             ..PipelineConfig::default()
         },
-        gateway,
+        Arc::new(Gateway::new(Arc::clone(&platform))),
         Arc::new(ClassifyOnly),
     );
-
-    let op_lists: Vec<Vec<Op>> = (0..spec.clients).map(|c| gen_ops(spec, c)).collect();
-    let statuses: BTreeMap<u16, u64> = thread::scope(|s| {
-        let handles: Vec<_> = op_lists
-            .iter()
-            .enumerate()
-            .map(|(c, ops)| {
-                let engine = Arc::clone(&pipeline);
+    let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
+    thread::scope(|s| {
+        let clients: Vec<_> = (0..spec.clients)
+            .map(|c| {
+                let (pipeline, ops) = (&pipeline, diff::ops(spec, c));
                 s.spawn(move || {
-                    let mut counts = BTreeMap::new();
-                    for op in ops {
-                        let resp = engine.serve(build_request(c, op), peer(c));
-                        let status = resp.status.0;
-                        assert!(
-                            matches!(status, 200 | 400 | 404 | 429 | 500 | 503),
-                            "storm produced unexpected status {status}"
-                        );
-                        if status == 503 {
-                            let retry: u64 = resp
-                                .header("retry-after")
-                                .expect("503 must carry Retry-After")
-                                .parse()
-                                .expect("Retry-After must be integral seconds");
-                            assert!(retry >= 1, "Retry-After must be positive");
-                            let body = String::from_utf8_lossy(&resp.body);
-                            assert!(
-                                body.contains("fault app=net/pipeline"),
-                                "503 body must be a labeled fault report, got: {body}"
-                            );
-                        }
-                        *counts.entry(status).or_insert(0) += 1;
-                    }
-                    counts
+                    let serve = |op| storm_status(pipeline.serve(build_request(c, op), peer(c)));
+                    ops.iter().map(serve).collect::<Vec<u16>>()
                 })
             })
             .collect();
-        let mut total: BTreeMap<u16, u64> = BTreeMap::new();
-        for h in handles {
-            for (status, n) in h.join().expect("storm client panicked") {
-                *total.entry(status).or_insert(0) += n;
-            }
+        for status in clients.into_iter().flat_map(|h| h.join().expect("storm client panicked")) {
+            *statuses.entry(status).or_insert(0) += 1;
         }
-        total
     });
     pipeline.stop();
     StormReport {
@@ -599,13 +446,38 @@ pub fn run_pipeline_storm(spec: &NetSpec) -> StormReport {
     }
 }
 
+/// One storm response's status, once it is known to have degraded
+/// gracefully.
+fn storm_status(resp: Response) -> u16 {
+    let status = resp.status.0;
+    assert!(
+        matches!(status, 200 | 400 | 404 | 429 | 500 | 503),
+        "storm produced unexpected status {status}"
+    );
+    if status == 503 {
+        let retry: u64 = resp
+            .header("retry-after")
+            .expect("503 must carry Retry-After")
+            .parse()
+            .expect("Retry-After must be integral seconds");
+        assert!(retry >= 1, "Retry-After must be positive");
+        let body = String::from_utf8_lossy(&resp.body);
+        assert!(
+            body.contains("fault app=net/pipeline"),
+            "503 body must be a labeled fault report, got: {body}"
+        );
+    }
+    status
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{check, run};
 
     #[test]
     fn four_arms_agree_on_default_spec() {
-        assert_net_differential(&NetSpec {
+        check(&NetSpec {
             seed: 2007,
             clients: 4,
             requests_per_client: 30,
@@ -616,22 +488,22 @@ mod tests {
     #[test]
     fn calm_run_agrees_without_faults() {
         let spec = NetSpec { seed: 11, clients: 2, requests_per_client: 25, fault_rate: 0.0 };
-        assert_net_differential(&spec);
+        check(&spec);
     }
 
     #[test]
     fn workload_actually_exercises_the_stack() {
         let spec = NetSpec::new(20070824);
-        let run = run_pipelined_serial(&spec);
-        assert!(run.outcome.statuses.contains_key(&200), "some requests must succeed");
-        assert!(run.outcome.statuses.contains_key(&404), "missing route must 404");
-        assert!(run.outcome.statuses.contains_key(&500), "boom must crash to 500");
+        let pipelined = run(&spec, Arm::CandidateSerial);
+        assert!(pipelined.outcome.statuses.contains_key(&200), "some requests must succeed");
+        assert!(pipelined.outcome.statuses.contains_key(&404), "missing route must 404");
+        assert!(pipelined.outcome.statuses.contains_key(&500), "boom must crash to 500");
         assert!(
-            run.outcome.faults.iter().any(|f| f.contains("kind=crash")),
+            pipelined.outcome.faults.iter().any(|f| f.contains("kind=crash")),
             "crash faults must be retained for developers"
         );
         assert!(
-            run.outcome.faults.iter().any(|f| f.contains("kind=infrastructure")),
+            pipelined.outcome.faults.iter().any(|f| f.contains("kind=infrastructure")),
             "sql chaos must surface as infrastructure faults"
         );
     }

@@ -5,9 +5,10 @@
 //! held stack is thread-local and always maintained; the *recording* of
 //! edges into a [`Recorder`] happens only when one is reachable:
 //!
-//! * a thread-scoped recorder installed with [`scoped`] (sim runs hand the
-//!   recorder across `thread::scope` workers via [`current_scoped`],
-//!   exactly like `w5_obs::scoped`), or
+//! * a thread-scoped recorder installed with [`scoped`] (harnesses
+//!   re-install it in each `thread::scope` worker, and the net pipeline
+//!   carries it across via [`current_scoped`], exactly like
+//!   `w5_obs::scoped`), or
 //! * the process-global recorder, when [`enable`] has switched it on
 //!   (`W5_LOCKDEP=1` in CI test jobs).
 //!
@@ -272,8 +273,8 @@ impl Recorder {
         *self.context.lock() = Some(f);
     }
 
-    /// Attach a run-level note (e.g. the store's `scanned` total) that the
-    /// report renders next to any findings from this run.
+    /// Attach a run-level note (e.g. the harness and engine names) that
+    /// the report renders next to any findings from this run.
     pub fn note(&self, key: &str, value: &str) {
         self.state.lock().notes.push((key.to_string(), value.to_string()));
     }

@@ -31,10 +31,8 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
 use w5_kernel::{Delivery, Kernel, ProcessId, ResourceLimits, SpawnSpec};
-use w5_sim::concurrency::{
-    assert_differential, run_reference_serial, run_sharded_concurrent, run_sharded_serial,
-    ConcSpec,
-};
+use w5_sim::concurrency::ConcSpec;
+use w5_sim::diff::{check, run, Arm};
 use w5_sim::{run_chaos, ChaosSpec};
 
 fn mk(k: &Kernel, name: &str) -> ProcessId {
@@ -48,7 +46,7 @@ fn differential_fixed_seeds_calm_and_stormy() {
     for (seed, threads, rate) in
         [(1u64, 2usize, 0.0), (42, 4, 0.05), (20070824, 8, 0.10)]
     {
-        assert_differential(&ConcSpec {
+        check(&ConcSpec {
             seed,
             threads,
             ops_per_thread: 200,
@@ -63,7 +61,7 @@ fn differential_survives_degenerate_shard_counts() {
     // 1 shard (every pair same-shard) and 64 shards (nearly every pair
     // cross-shard) must behave identically to the reference too.
     for shards in [1usize, 2, 64] {
-        assert_differential(&ConcSpec {
+        check(&ConcSpec {
             seed: 7,
             threads: 4,
             ops_per_thread: 120,
@@ -88,7 +86,7 @@ mod properties {
             rate_pct in 0u32..25,
             shards in prop_oneof![Just(1usize), Just(4), Just(16), Just(64)],
         ) {
-            assert_differential(&ConcSpec {
+            check(&ConcSpec {
                 seed,
                 threads,
                 ops_per_thread: ops,
@@ -307,11 +305,11 @@ fn serial_ledger_digest_identical_between_kernels() {
     // order and counters) when driven serially by the same schedule.
     for seed in [1u64, 42, 1007, 20070824] {
         let spec = ConcSpec { seed, threads: 4, ops_per_thread: 250, fault_rate: 0.08, shards: 16 };
-        let (ref_out, ref_digest) = run_reference_serial(&spec);
-        let (shard_out, shard_digest) = run_sharded_serial(&spec);
-        assert_eq!(ref_out, shard_out, "seed {seed}: serial outcomes diverged");
+        let reference = run(&spec, Arm::ReferenceSerial);
+        let sharded = run(&spec, Arm::CandidateSerial);
+        assert_eq!(reference.outcome, sharded.outcome, "seed {seed}: serial outcomes diverged");
         assert_eq!(
-            ref_digest, shard_digest,
+            reference.ledger_digest, sharded.ledger_digest,
             "seed {seed}: ledger digest changed under sharding"
         );
     }
@@ -334,9 +332,9 @@ fn concurrent_outcome_independent_of_run_order() {
     // Same spec, run concurrently twice plus serially once: all equal.
     // Catches timing-dependence smuggled into the outcome type itself.
     let spec = ConcSpec { seed: 1007, threads: 6, ops_per_thread: 180, fault_rate: 0.06, shards: 16 };
-    let a = run_sharded_concurrent(&spec);
-    let b = run_sharded_concurrent(&spec);
-    let (c, _) = run_sharded_serial(&spec);
+    let a = run(&spec, Arm::CandidateConcurrent).outcome;
+    let b = run(&spec, Arm::CandidateConcurrent).outcome;
+    let c = run(&spec, Arm::CandidateSerial).outcome;
     assert_eq!(a, b, "two concurrent runs of one spec diverged");
     assert_eq!(a, c, "concurrent run diverged from serial replay");
 }

@@ -253,3 +253,22 @@ fn dns_front_end_resolves_hosted_apps() {
     dns.shutdown();
     http.shutdown();
 }
+
+#[test]
+fn owner_views_own_photo_with_and_without_ifc() {
+    // The invoke path serves an owner's own photo on the W5 platform and
+    // on the no-IFC control world E4 compares it against. (Friends through
+    // the declassifier and blocked strangers are covered by the w5-sim
+    // population test and tests/federated_world.rs.)
+    let pop = PopulationConfig { users: 10, ..Default::default() };
+    let worlds = [
+        build_population(Platform::new_default("w5"), pop),
+        build_population(w5_baseline::no_ifc_platform("ctl"), pop),
+    ];
+    for world in &worlds {
+        let owner = &world.accounts[0];
+        let params = [("user", owner.username.as_str()), ("name", "photo0")];
+        let req = Platform::make_request("GET", "view", &params, Some(owner), bytes::Bytes::new());
+        assert_eq!(world.platform.invoke(Some(owner), "devA/photos", req).status, 200);
+    }
+}

@@ -351,7 +351,8 @@ mod concurrent_kernel {
     use std::sync::Arc;
     use w5_difc::{CapSet, Capability, Label, LabelPair, TagKind, TagRegistry};
     use w5_kernel::{Delivery, Kernel, ProcessId, ResourceLimits};
-    use w5_sim::concurrency::{run_reference_serial, run_sharded_concurrent, ConcSpec};
+    use w5_sim::concurrency::ConcSpec;
+    use w5_sim::diff::{run, Arm};
 
     /// The platform-level invariant, restated for raw kernel IPC: a
     /// message from a tainted sender reaches an unlabeled receiver only
@@ -424,8 +425,8 @@ mod concurrent_kernel {
     fn concurrent_verdicts_match_serial_oracle() {
         for seed in [20070824u64, 5, 77] {
             let spec = ConcSpec { seed, threads: 4, ops_per_thread: 200, fault_rate: 0.04, shards: 16 };
-            let (oracle, _) = run_reference_serial(&spec);
-            let live = run_sharded_concurrent(&spec);
+            let oracle = run(&spec, Arm::ReferenceSerial).outcome;
+            let live = run(&spec, Arm::CandidateConcurrent).outcome;
             assert_eq!(
                 oracle, live,
                 "seed {seed}: concurrent noninterference verdicts diverged from the oracle"

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
-use w5_sim::storediff;
+use w5_sim::diff::check;
 use w5_sim::StoreSpec;
 use w5_store::{Database, QueryCost, QueryError, QueryMode, QueryOutput, Subject};
 
@@ -21,7 +21,7 @@ use w5_store::{Database, QueryCost, QueryError, QueryMode, QueryOutput, Subject}
 #[test]
 fn four_arm_differential_over_seeds() {
     for (seed, fault_rate) in [(20070824u64, 0.05), (5, 0.0), (77, 0.25)] {
-        storediff::assert_store_differential(&StoreSpec {
+        check(&StoreSpec {
             seed,
             threads: 4,
             ops_per_thread: 120,
@@ -35,7 +35,7 @@ fn four_arm_differential_over_seeds() {
 /// production. Keep one heavier spec pinned.
 #[test]
 fn four_arm_differential_under_contention() {
-    storediff::assert_store_differential(&StoreSpec {
+    check(&StoreSpec {
         seed: 424242,
         threads: 8,
         ops_per_thread: 80,
