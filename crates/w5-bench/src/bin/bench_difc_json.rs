@@ -13,77 +13,30 @@
 //!   tick the audit ledger identically (`count_check` parity is part of
 //!   the design), so the delta is pure label-machinery cost.
 //!
-//! Emits `BENCH_difc.json` (via `w5_bench::metrics`, so `W5_METRICS_DIR`
-//! redirects it). `--short` shrinks budgets for CI smoke runs; `--check
-//! <baseline.json>` exits non-zero if any paired speedup regressed more
-//! than 5x against the committed baseline.
+//! Emits `BENCH_difc.json` through `w5_bench::harness`, which describes
+//! the flags and gate rules. Gates: every paired speedup within 5x of the
+//! committed baseline, and ≥2x acceptance floors on repeated `can_flow`
+//! and the 100k-row labeled scan — the two shapes interning exists for —
+//! in every run, `--short` included.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use w5_difc::{intern, naive, CapSet, InternStats, Label, LabelPair, Tag, TagKind, TagRegistry};
+use std::time::Duration;
+use w5_bench::harness::{self, Better, Gate, Names, Timer};
+use w5_bench::EVEN_ITEMS;
+use w5_difc::{intern, naive, CapSet, InternStats, Label, LabelPair, Tag, TagRegistry};
 use w5_store::{Database, QueryCost, QueryMode, Subject};
 
-/// One measured operation.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-struct BenchEntry {
-    name: String,
-    ns_per_op: f64,
-    ops_per_sec: f64,
-}
-
-/// A naive-vs-interned pairing; `speedup` = naive ns / interned ns.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-struct Speedup {
-    name: String,
-    speedup: f64,
-}
-
 /// The whole artifact.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct BenchDifc {
     short: bool,
-    entries: Vec<BenchEntry>,
-    speedups: Vec<Speedup>,
+    entries: Vec<harness::Entry>,
+    speedups: Vec<harness::Speedup>,
     intern: InternStats,
 }
 
-struct Harness {
-    budget: Duration,
-    entries: Vec<BenchEntry>,
-    speedups: Vec<Speedup>,
-}
-
-/// Inner batch for nanosecond-scale ops: the throughput loop reads the
-/// clock between closure calls, so each call runs the op this many times
-/// to keep the clock read off the measured cost.
+/// Inner batch for nanosecond-scale ops (see [`harness::time`]).
 const BATCH: u32 = 64;
-
-impl Harness {
-    fn bench<F: FnMut()>(&mut self, name: &str, inner: u32, mut f: F) -> f64 {
-        let (iters, elapsed) = w5_bench::throughput(self.budget, || {
-            for _ in 0..inner {
-                f();
-            }
-        });
-        let ops = iters * u64::from(inner);
-        let ns = elapsed.as_nanos() as f64 / ops as f64;
-        println!("  {name:<34} {:>12}  {ns:>10.1} ns/op", w5_bench::ops_per_sec(ops, elapsed));
-        self.entries.push(BenchEntry {
-            name: name.to_string(),
-            ns_per_op: ns,
-            ops_per_sec: ops as f64 / elapsed.as_secs_f64(),
-        });
-        ns
-    }
-
-    fn pair<FN: FnMut(), FI: FnMut()>(&mut self, name: &str, inner: u32, naive: FN, interned: FI) {
-        let n = self.bench(&format!("{name} (naive)"), inner, naive);
-        let i = self.bench(&format!("{name} (interned)"), inner, interned);
-        let speedup = n / i;
-        println!("  {name:<34} speedup {speedup:.1}x");
-        self.speedups.push(Speedup { name: name.to_string(), speedup });
-    }
-}
 
 fn label(n: usize, offset: u64) -> Label {
     Label::from_iter((0..n as u64).map(|i| Tag::from_raw(offset + i * 2 + 1)))
@@ -96,7 +49,7 @@ struct NaiveRow {
     values: Vec<i64>,
 }
 
-fn scan_pair(h: &mut Harness, rows: usize, users: usize) {
+fn scan_pair(h: &mut Timer, rows: usize, users: usize) {
     // `users` distinct secrecy labels spread across `rows` rows, read by a
     // subject already raised over all of them (the feed-render shape: one
     // accumulated tag per friend). Every row passes, so both arms pay the
@@ -155,59 +108,19 @@ fn scan_pair(h: &mut Harness, rows: usize, users: usize) {
 /// Real end-to-end SELECT over the labeled store at `rows`, for context
 /// (parse + plan + scan + projection; the scan pair above isolates the
 /// per-row label cost this PR targets).
-fn store_select(h: &mut Harness, rows: usize, reg: &Arc<TagRegistry>) {
+fn store_select(h: &mut Timer, rows: usize, reg: &Arc<TagRegistry>) {
     let db = Database::new();
-    let trusted = Subject::anonymous();
-    db.execute(
-        &trusted,
-        QueryMode::Filtered,
-        QueryCost::unlimited(),
-        &LabelPair::public(),
-        "CREATE TABLE items (n INTEGER, owner INTEGER)",
-    )
-    .unwrap();
-    let users = 50usize;
-    let labels: Vec<LabelPair> = (0..users)
-        .map(|i| {
-            let (t, _) = reg.create_tag(TagKind::ExportProtect, &format!("bench{i}"));
-            LabelPair::new(Label::singleton(t), Label::empty())
-        })
-        .collect();
-    for (u, l) in labels.iter().enumerate() {
-        let per_user = rows / users;
-        let mut base = 0;
-        while base < per_user {
-            let chunk = (per_user - base).min(500);
-            let values: Vec<String> =
-                (0..chunk).map(|i| format!("({}, {u})", base + i)).collect();
-            db.execute(
-                &trusted,
-                QueryMode::Filtered,
-                QueryCost::unlimited(),
-                l,
-                &format!("INSERT INTO items VALUES {}", values.join(",")),
-            )
-            .unwrap();
-            base += chunk;
-        }
-    }
+    w5_bench::labeled_items(&db, rows, 50, reg);
     let reader = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
     h.bench(&format!("store_select_{rows}"), 1, || {
-        let out = db
-            .execute(
-                &reader,
-                QueryMode::Filtered,
-                QueryCost::unlimited(),
-                &LabelPair::public(),
-                "SELECT COUNT(*) FROM items WHERE n % 2 = 0",
-            )
-            .unwrap();
-        std::hint::black_box(out.scanned);
+        let public = LabelPair::public();
+        let cost = QueryCost::unlimited();
+        db.execute(&reader, QueryMode::Filtered, cost, &public, EVEN_ITEMS).unwrap().scanned
     });
 }
 
 /// End-to-end platform request cost over the default read-heavy mix.
-fn platform_request(h: &mut Harness, short: bool) {
+fn platform_request(h: &mut Timer, short: bool) {
     use bytes::Bytes;
     use w5_platform::Platform;
     let pop = w5_sim::PopulationConfig {
@@ -235,48 +148,12 @@ fn platform_request(h: &mut Harness, short: bool) {
     });
 }
 
-/// Compare against a committed baseline: any paired speedup that fell by
-/// more than 5x (e.g. the interned arm lost its advantage) fails the run.
-fn check_against(baseline_path: &str, current: &BenchDifc) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let baseline: BenchDifc =
-        serde_json::from_str(&text).map_err(|e| format!("parse {baseline_path}: {e}"))?;
-    let mut failures = Vec::new();
-    for base in &baseline.speedups {
-        let Some(cur) = current.speedups.iter().find(|s| s.name == base.name) else {
-            failures.push(format!("{}: missing from current run", base.name));
-            continue;
-        };
-        if cur.speedup < base.speedup / 5.0 {
-            failures.push(format!(
-                "{}: speedup {:.2}x is >5x below baseline {:.2}x",
-                base.name, cur.speedup, base.speedup
-            ));
-        }
-    }
-    if failures.is_empty() {
-        println!("check vs {baseline_path}: ok ({} pairings)", baseline.speedups.len());
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let short = args.iter().any(|a| a == "--short");
-    let check = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).expect("--check needs a path").clone());
-
+    let flags = harness::flags(&["--short", "--check <baseline.json>"]);
+    let short = flags.short;
     w5_bench::banner("BENCH_difc", "interned labels vs pre-interning cost model", "§2, §3.1");
-    let mut h = Harness {
-        budget: if short { Duration::from_millis(25) } else { Duration::from_millis(200) },
-        entries: Vec::new(),
-        speedups: Vec::new(),
-    };
+    let budget = Duration::from_millis(if short { 25 } else { 200 });
+    let mut h = Timer::new(budget, ["naive", "interned"]);
 
     // --- Label set algebra, small (2 tags) and accumulated (32 tags). ---
     for &n in &[2usize, 32] {
@@ -284,37 +161,20 @@ fn main() {
         let b = label(n, 3);
         let (ta, tb) = (naive::tags_of(&a), naive::tags_of(&b));
         let (ia, ib) = (intern::intern(&a), intern::intern(&b));
-        h.pair(
-            &format!("union_{n}"),
-            BATCH,
-            || {
-                std::hint::black_box(naive::union(&ta, &tb));
-            },
-            || {
-                std::hint::black_box(intern::union(ia, ib));
-            },
-        );
+        h.pair(&format!("union_{n}"), BATCH, || naive::union(&ta, &tb), || intern::union(ia, ib));
         h.pair(
             &format!("intersect_{n}"),
             BATCH,
-            || {
-                std::hint::black_box(naive::intersect(&ta, &tb));
-            },
-            || {
-                std::hint::black_box(intern::intersect(ia, ib));
-            },
+            || naive::intersect(&ta, &tb),
+            || intern::intersect(ia, ib),
         );
         let sup = a.union(&b);
         let (tsup, isup) = (naive::tags_of(&sup), intern::intern(&sup));
         h.pair(
             &format!("subset_{n}"),
             BATCH,
-            || {
-                std::hint::black_box(naive::subset(&ta, &tsup));
-            },
-            || {
-                std::hint::black_box(intern::subset(ia, isup));
-            },
+            || naive::subset(&ta, &tsup),
+            || intern::subset(ia, isup),
         );
     }
 
@@ -357,33 +217,21 @@ fn main() {
         let hot_a = intern::intern(&label(8, 301));
         let hot_b = intern::intern(&label(8, 303));
         intern::subset(hot_a, hot_b); // prime
-        h.bench("flow_cache_hit", BATCH, || {
-            std::hint::black_box(intern::subset(hot_a, hot_b));
-        });
+        h.bench("flow_cache_hit", BATCH, || intern::subset(hot_a, hot_b));
         // Cold: each (a, b) pair is checked exactly once. Measured by a
         // single timed pass, since a repeat would turn misses into hits.
         let fresh = if short { 2_000 } else { 20_000 };
         let ids: Vec<_> =
             (0..fresh as u64).map(|i| intern::intern(&label(2, 700_000 + i * 8))).collect();
         let before = intern::stats();
-        let t = Instant::now();
-        for w in ids.windows(2) {
-            std::hint::black_box(intern::subset(w[0], w[1]));
-        }
-        let elapsed = t.elapsed();
-        let after = intern::stats();
-        let ns = elapsed.as_nanos() as f64 / (ids.len() - 1) as f64;
-        println!(
-            "  {:<34} {:>12}  {ns:>10.1} ns/op  ({} misses)",
-            "flow_cache_miss",
-            w5_bench::ops_per_sec((ids.len() - 1) as u64, elapsed),
-            after.flow_misses - before.flow_misses,
-        );
-        h.entries.push(BenchEntry {
-            name: "flow_cache_miss".to_string(),
-            ns_per_op: ns,
-            ops_per_sec: (ids.len() - 1) as f64 / elapsed.as_secs_f64(),
+        let t = harness::time_once((ids.len() - 1) as u64, || {
+            for w in ids.windows(2) {
+                std::hint::black_box(intern::subset(w[0], w[1]));
+            }
         });
+        h.record("flow_cache_miss", t);
+        let misses = intern::stats().flow_misses - before.flow_misses;
+        println!("  {:<34} {misses} cache misses", "flow_cache_miss");
     }
 
     // --- Labeled scans: the per-row hot loop, naive vs memoized. ---
@@ -398,27 +246,18 @@ fn main() {
     }
     platform_request(&mut h, short);
 
-    let out = BenchDifc {
-        short,
-        entries: h.entries,
-        speedups: h.speedups,
-        intern: intern::stats(),
-    };
-    let path = w5_bench::metrics::write_metrics("BENCH_difc", &out).expect("write metrics");
-    println!();
-    println!("wrote {}", path.display());
-
-    for s in &out.speedups {
-        if (s.name == "can_flow_repeated" || s.name == "labeled_scan_100000") && s.speedup < 2.0 {
-            eprintln!("FAIL: {} speedup {:.2}x < 2x acceptance floor", s.name, s.speedup);
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(baseline) = check {
-        if let Err(e) = check_against(&baseline, &out) {
-            eprintln!("FAIL: {e}");
-            std::process::exit(1);
-        }
-    }
+    let out =
+        BenchDifc { short, entries: h.entries, speedups: h.speedups, intern: intern::stats() };
+    let floor = |name| Gate::Limit { name, limit: 2.0, better: Better::Higher, full_only: false };
+    harness::finish(
+        "BENCH_difc",
+        &out,
+        &flags,
+        harness::SPEEDUPS,
+        &[
+            floor("can_flow_repeated"),
+            floor("labeled_scan_100000"),
+            Gate::Baseline { factor: 5.0, better: Better::Higher, names: Names::Every },
+        ],
+    );
 }

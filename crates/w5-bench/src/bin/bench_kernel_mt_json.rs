@@ -18,24 +18,24 @@
 //! ring's mutex. The schedule is seeded per worker; only the *amount*
 //! of work done before the deadline varies between runs.
 //!
-//! Emits `BENCH_kernel_mt.json` (via `w5_bench::metrics`, so
-//! `W5_METRICS_DIR` redirects it) with per-thread-count points and the
-//! 4-thread/1-thread scaling ratio per mix. `--short` shrinks budgets
-//! for CI smoke runs; `--check-scaling <ratio>` exits non-zero if any
-//! mix scales below the ratio at 4 threads — skipped loudly when the
-//! host exposes fewer than 4 cores, where the assert is meaningless.
+//! Emits `BENCH_kernel_mt.json` through `w5_bench::harness`, which
+//! describes the flags and gate rules, with per-thread-count points and
+//! the 4-thread/1-thread scaling ratio per mix. Its one gate is
+//! `--check-scaling`: scaling numbers from a 1-core box are honest but
+//! meaningless, so the gate needs a host with at least 4 cores.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use w5_bench::harness::{self, Gate};
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
 use w5_kernel::{Kernel, ProcessId, ResourceLimits, SpawnSpec};
 use w5_obs::Ledger;
 
 /// One measured (mix, threads) point.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct Point {
     threads: usize,
     ops: u64,
@@ -43,7 +43,7 @@ struct Point {
     ops_per_sec: f64,
 }
 
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct MixResult {
     name: String,
     points: Vec<Point>,
@@ -52,12 +52,9 @@ struct MixResult {
 }
 
 /// The whole artifact.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct BenchKernelMt {
     short: bool,
-    /// Cores the measuring host exposed — scaling numbers from a 1-core
-    /// box are honest but meaningless; CI re-measures on 4 cores.
-    cores: usize,
     shards: usize,
     threads: Vec<usize>,
     mixes: Vec<MixResult>,
@@ -183,16 +180,9 @@ fn run_point(mix: Mix, threads: usize, budget: Duration, shards: usize) -> Point
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let short = args.iter().any(|a| a == "--short");
-    let check_scaling: Option<f64> = args.iter().position(|a| a == "--check-scaling").map(|i| {
-        args.get(i + 1)
-            .expect("--check-scaling needs a ratio")
-            .parse()
-            .expect("--check-scaling ratio must be a number")
-    });
-
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let flags = harness::flags(&["--short", "--check-scaling <ratio>"]);
+    let short = flags.short;
+    let cores = harness::cores();
     let shards = w5_kernel::DEFAULT_SHARDS;
     let thread_counts = vec![1usize, 2, 4, 8];
     let budget = if short { Duration::from_millis(150) } else { Duration::from_millis(600) };
@@ -224,28 +214,6 @@ fn main() {
         mixes.push(MixResult { name: name.to_string(), points, scaling_4t });
     }
 
-    let out = BenchKernelMt { short, cores, shards, threads: thread_counts, mixes };
-    let path = w5_bench::metrics::write_metrics("BENCH_kernel_mt", &out).expect("write metrics");
-    println!();
-    println!("wrote {}", path.display());
-
-    if let Some(floor) = check_scaling {
-        if cores < 4 {
-            println!(
-                "SKIP: --check-scaling {floor} not enforced — host has {cores} core(s), \
-                 4-thread scaling is meaningless below 4"
-            );
-            return;
-        }
-        for m in &out.mixes {
-            if m.scaling_4t < floor {
-                eprintln!(
-                    "FAIL: mix {} scaled {:.2}x at 4 threads, below the {floor}x floor",
-                    m.name, m.scaling_4t
-                );
-                std::process::exit(1);
-            }
-        }
-        println!("check: all mixes scaled >= {floor}x at 4 threads");
-    }
+    let out = BenchKernelMt { short, shards, threads: thread_counts, mixes };
+    harness::finish("BENCH_kernel_mt", &out, &flags, harness::SCALING, &[Gate::Scaling]);
 }

@@ -27,16 +27,19 @@
 //! residual of one cheap rogue job: the PR's acceptance floor is a
 //! fairness ratio **< 2.0** on the pipeline in full mode.
 //!
-//! Emits `BENCH_net.json` (via `w5_bench::metrics`, so `W5_METRICS_DIR`
-//! redirects it). `--short` shrinks measurement windows for CI smoke
-//! runs; `--check <baseline.json>` exits non-zero if the pipeline's
-//! fairness ratio regressed more than 4x against the committed baseline.
+//! Emits `BENCH_net.json` through `w5_bench::harness`, which describes
+//! the flags and gate rules. Gates: the pipeline's fairness ratio within
+//! 4x of the committed baseline — the reference engine's ratio is
+//! hardware-dependent contrast data, not a guarantee, so it is never
+//! gated — and the < 2.0 floor above in full runs only, since `--short`
+//! windows are CI smoke on shared hardware.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+use w5_bench::harness::{self, Better, Gate, Names};
 use w5_net::{
     Admission, ChargeDenied, ChargePoint, Handler, InlineServe, Pipeline, PipelineConfig,
     PrincipalClass, Request, Response, Serve,
@@ -93,7 +96,7 @@ fn peer() -> SocketAddr {
 }
 
 /// One measured workload.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct BenchEntry {
     name: String,
     /// Honest requests completed in the window.
@@ -103,18 +106,19 @@ struct BenchEntry {
     honest_p99_us: f64,
     /// Honest completions per second.
     honest_rps: f64,
-    /// Rogue completions per second (0 for the alone workloads).
+    /// Rogue completions per second inside the measured window (0 for
+    /// the alone workloads).
     rogue_rps: f64,
 }
 
 /// contended honest p99 / baseline honest p99, per engine.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct Fairness {
     name: String,
     ratio: f64,
 }
 
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct BenchNet {
     short: bool,
     entries: Vec<BenchEntry>,
@@ -123,7 +127,8 @@ struct BenchNet {
 
 /// Drive `engine` for `window`: one honest client measuring per-request
 /// latency, `rogue_threads` rogue clients flooding as fast as responses
-/// return. Returns the honest histogram plus both completion counts.
+/// return. Returns the honest histogram plus both completion counts,
+/// each counting only completions inside the measured window.
 fn run_workload(
     engine: &Arc<dyn Serve>,
     rogue_threads: usize,
@@ -134,7 +139,7 @@ fn run_workload(
     let mut hist = Histogram::new();
     let mut honest_done = 0u64;
 
-    thread::scope(|s| {
+    let rogue_in_window = thread::scope(|s| {
         for _ in 0..rogue_threads {
             let engine = Arc::clone(engine);
             let stop = &stop;
@@ -153,6 +158,7 @@ fn run_workload(
         while Instant::now() < warm_end {
             engine.serve(Request::get("/honest/page"), peer());
         }
+        let rogue_before = rogue_done.load(Ordering::Relaxed);
         let end = Instant::now() + window;
         while Instant::now() < end {
             let t0 = Instant::now();
@@ -161,10 +167,12 @@ fn run_workload(
             assert_eq!(resp.status.0, 200, "honest request failed");
             honest_done += 1;
         }
+        let rogue_in_window = rogue_done.load(Ordering::Relaxed) - rogue_before;
         stop.store(true, Ordering::Relaxed);
+        rogue_in_window
     });
 
-    (hist, honest_done, rogue_done.load(Ordering::Relaxed))
+    (hist, honest_done, rogue_in_window)
 }
 
 fn record(
@@ -193,50 +201,9 @@ fn record(
     p99
 }
 
-fn check_against(baseline_path: &str, current: &BenchNet) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let baseline: BenchNet =
-        serde_json::from_str(&text).map_err(|e| format!("parse {baseline_path}: {e}"))?;
-    let mut failures = Vec::new();
-    let mut compared = 0usize;
-    for base in &baseline.fairness {
-        // The reference engine's ratio is hardware-dependent contrast
-        // data, not a guarantee — only the pipeline's is gated.
-        if base.name != "fairness_pipeline" {
-            continue;
-        }
-        let Some(cur) = current.fairness.iter().find(|f| f.name == base.name) else {
-            failures.push(format!("{}: missing from current run", base.name));
-            continue;
-        };
-        compared += 1;
-        if cur.ratio > base.ratio * 4.0 {
-            failures.push(format!(
-                "{}: fairness ratio {:.2} is >4x above baseline {:.2}",
-                base.name, cur.ratio, base.ratio
-            ));
-        }
-    }
-    if failures.is_empty() {
-        if compared == 0 {
-            return Err(format!("no gated pairings with {baseline_path}"));
-        }
-        println!("check vs {baseline_path}: ok ({compared} pairings)");
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let short = args.iter().any(|a| a == "--short");
-    let check = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).expect("--check needs a path").clone());
-
+    let flags = harness::flags(&["--short", "--check <baseline.json>"]);
+    let short = flags.short;
     w5_bench::banner(
         "BENCH_net",
         "staged pipeline vs thread-per-connection under a rogue flood",
@@ -253,60 +220,41 @@ fn main() {
     let mut entries = Vec::new();
     let mut fairness = Vec::new();
 
-    // --- Reference: the seed dispatch, every connection its own thread.
+    // Reference: the seed dispatch, every connection its own thread; its
+    // ratio is contrast only. Pipeline: two workers, one shard, quantum 1
+    // — the rogue class gets one cheap job per rotation, never the whole
+    // pool.
     let reference: Arc<dyn Serve> = Arc::new(InlineServe::new(Arc::new(SpinHandler)));
-    let base = record(&mut entries, "reference honest_alone", window, run_workload(&reference, 0, window));
-    let cont = record(
-        &mut entries,
-        "reference honest_vs_rogue",
-        window,
-        run_workload(&reference, rogue_threads, window),
-    );
-    let ref_ratio = cont / base;
-    println!("  {:<34} fairness ratio {ref_ratio:.2} (contrast only)\n", "reference");
-    fairness.push(Fairness { name: "fairness_reference".into(), ratio: ref_ratio });
-
-    // --- Pipeline: two workers, one shard, quantum 1 — the rogue class
-    // gets one cheap job per rotation, never the whole pool.
     let pipeline = Pipeline::start(
         PipelineConfig { workers: 2, shards: 1, quantum: 1, ..PipelineConfig::default() },
         Arc::new(SpinHandler),
         Arc::new(ClassByPath),
     );
-    let engine: Arc<dyn Serve> = Arc::clone(&pipeline) as Arc<dyn Serve>;
-    let base = record(&mut entries, "pipeline honest_alone", window, run_workload(&engine, 0, window));
-    let cont = record(
-        &mut entries,
-        "pipeline honest_vs_rogue",
-        window,
-        run_workload(&engine, rogue_threads, window),
-    );
-    let pipe_ratio = cont / base;
+    for (name, engine) in [("reference", reference), ("pipeline", Arc::clone(&pipeline) as _)] {
+        let alone = run_workload(&engine, 0, window);
+        let base = record(&mut entries, &format!("{name} honest_alone"), window, alone);
+        let flood = run_workload(&engine, rogue_threads, window);
+        let ratio = record(&mut entries, &format!("{name} honest_vs_rogue"), window, flood) / base;
+        println!("  {name:<34} fairness ratio {ratio:.2}\n");
+        fairness.push(Fairness { name: format!("fairness_{name}"), ratio });
+    }
     let snap = pipeline.stats.snapshot();
     pipeline.stop();
-    println!("  {:<34} fairness ratio {pipe_ratio:.2}", "pipeline");
     println!(
-        "  {:<34} admitted {} shed {} served {}\n",
+        "  {:<34} admitted {} shed {} served {}",
         "pipeline stats", snap.admitted, snap.shed, snap.served
     );
-    fairness.push(Fairness { name: "fairness_pipeline".into(), ratio: pipe_ratio });
 
     let out = BenchNet { short, entries, fairness };
-    let path = w5_bench::metrics::write_metrics("BENCH_net", &out).expect("write metrics");
-    println!("wrote {}", path.display());
-
-    // Acceptance floor (full runs only — --short windows are CI smoke on
-    // shared hardware): the honest tenant's p99 must degrade < 2x under
-    // the flood when the pipeline schedules it.
-    if !short && pipe_ratio >= 2.0 {
-        eprintln!("FAIL: pipeline fairness ratio {pipe_ratio:.2} >= 2.0 acceptance floor");
-        std::process::exit(1);
-    }
-
-    if let Some(baseline) = check {
-        if let Err(e) = check_against(&baseline, &out) {
-            eprintln!("FAIL: {e}");
-            std::process::exit(1);
-        }
-    }
+    let pipeline = "fairness_pipeline";
+    harness::finish(
+        "BENCH_net",
+        &out,
+        &flags,
+        harness::FAIRNESS,
+        &[
+            Gate::Limit { name: pipeline, limit: 2.0, better: Better::Lower, full_only: true },
+            Gate::Baseline { factor: 4.0, better: Better::Lower, names: Names::Only(pipeline) },
+        ],
+    );
 }

@@ -20,82 +20,26 @@
 //! - `label_skew` — full aggregate by an owner who can read 1 of 100
 //!   partitions: pure pruning win, no index.
 //!
-//! Emits `BENCH_store.json` (via `w5_bench::metrics`, so
-//! `W5_METRICS_DIR` redirects it). `--short` shrinks sizes and budgets
-//! for CI smoke runs; `--check <baseline.json>` exits non-zero if any
-//! paired speedup regressed more than 5x against the committed baseline.
-//! Full runs also enforce the PR's acceptance floors: ≥5x on the
-//! 100k-row label-skewed scan, ≥10x on 100k-row indexed point lookups.
+//! Emits `BENCH_store.json` through `w5_bench::harness`, which describes
+//! the flags and gate rules. Gates: every paired speedup within 5x of the
+//! committed baseline (a `--short` run covers 1k and 10k rows, so it lacks
+//! the baseline's 100k pairings), and, in full runs only, acceptance
+//! floors of ≥5x on the 100k-row label-skewed scan and ≥10x on 100k-row
+//! indexed point lookups.
 
 use std::sync::Arc;
 use std::time::Duration;
+use w5_bench::harness::{self, Better, Gate, Names, Timer};
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
 use w5_store::{Database, QueryCost, QueryMode, Subject};
 
-/// One measured arm.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-struct BenchEntry {
-    name: String,
-    ns_per_op: f64,
-    ops_per_sec: f64,
-    /// Rows the query logically covers per second (table size × query
-    /// rate) — the "how fast does the table feel" number for scans.
-    rows_per_sec: f64,
-}
-
-/// A reference-vs-partitioned pairing; `speedup` = ref ns / partitioned ns.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-struct Speedup {
-    name: String,
-    speedup: f64,
-}
-
-/// The whole artifact.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+/// The whole artifact. Entries record rows/s: the rows a query logically
+/// covers (table size × query rate) — how fast the table feels for scans.
+#[derive(serde::Serialize)]
 struct BenchStore {
     short: bool,
-    entries: Vec<BenchEntry>,
-    speedups: Vec<Speedup>,
-}
-
-struct Harness {
-    budget: Duration,
-    entries: Vec<BenchEntry>,
-    speedups: Vec<Speedup>,
-}
-
-impl Harness {
-    fn bench<F: FnMut()>(&mut self, name: &str, table_rows: usize, mut f: F) -> f64 {
-        let (iters, elapsed) = w5_bench::throughput(self.budget, &mut f);
-        let ns = elapsed.as_nanos() as f64 / iters as f64;
-        let rows_per_sec = (iters * table_rows as u64) as f64 / elapsed.as_secs_f64();
-        println!(
-            "  {name:<34} {:>12}  {ns:>12.0} ns/query  {:>14} rows/s",
-            w5_bench::ops_per_sec(iters, elapsed),
-            w5_bench::ops_per_sec(iters * table_rows as u64, elapsed),
-        );
-        self.entries.push(BenchEntry {
-            name: name.to_string(),
-            ns_per_op: ns,
-            ops_per_sec: iters as f64 / elapsed.as_secs_f64(),
-            rows_per_sec,
-        });
-        ns
-    }
-
-    fn pair<FR: FnMut(), FP: FnMut()>(
-        &mut self,
-        name: &str,
-        table_rows: usize,
-        reference: FR,
-        partitioned: FP,
-    ) {
-        let r = self.bench(&format!("{name} (reference)"), table_rows, reference);
-        let p = self.bench(&format!("{name} (partitioned)"), table_rows, partitioned);
-        let speedup = r / p;
-        println!("  {name:<34} speedup {speedup:.1}x");
-        self.speedups.push(Speedup { name: name.to_string(), speedup });
-    }
+    entries: Vec<harness::Entry>,
+    speedups: Vec<harness::Speedup>,
 }
 
 /// Fill `items` with `rows` rows spread over `labels` round-robin
@@ -136,61 +80,16 @@ fn select(db: &Database, reader: &Subject, sql: &str) -> u64 {
     std::hint::black_box(out.scanned)
 }
 
-/// Compare against a committed baseline: any paired speedup that fell by
-/// more than 5x fails the run.
-fn check_against(baseline_path: &str, current: &BenchStore) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let baseline: BenchStore =
-        serde_json::from_str(&text).map_err(|e| format!("parse {baseline_path}: {e}"))?;
-    let mut failures = Vec::new();
-    let mut compared = 0usize;
-    for base in &baseline.speedups {
-        let Some(cur) = current.speedups.iter().find(|s| s.name == base.name) else {
-            // A --short run only covers the small sizes; a full run must
-            // cover everything the baseline has.
-            if !current.short {
-                failures.push(format!("{}: missing from current run", base.name));
-            }
-            continue;
-        };
-        compared += 1;
-        if cur.speedup < base.speedup / 5.0 {
-            failures.push(format!(
-                "{}: speedup {:.2}x is >5x below baseline {:.2}x",
-                base.name, cur.speedup, base.speedup
-            ));
-        }
-    }
-    if failures.is_empty() {
-        if compared == 0 {
-            return Err(format!("no common pairings with {baseline_path}"));
-        }
-        println!("check vs {baseline_path}: ok ({compared} pairings)");
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let short = args.iter().any(|a| a == "--short");
-    let check = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).expect("--check needs a path").clone());
-
+    let flags = harness::flags(&["--short", "--check <baseline.json>"]);
+    let short = flags.short;
     w5_bench::banner(
         "BENCH_store",
         "label-partitioned storage vs seed per-row scan",
         "§3.5",
     );
-    let mut h = Harness {
-        budget: if short { Duration::from_millis(40) } else { Duration::from_millis(300) },
-        entries: Vec::new(),
-        speedups: Vec::new(),
-    };
+    let budget = Duration::from_millis(if short { 40 } else { 300 });
+    let mut h = Timer::new(budget, ["reference", "partitioned"]);
 
     const OWNERS: usize = 100;
     let reg = Arc::new(TagRegistry::new());
@@ -208,6 +107,7 @@ fn main() {
 
     let sizes: &[usize] = if short { &[1_000, 10_000] } else { &[1_000, 100_000] };
     for &rows in sizes {
+        h.rows = Some(rows as u64);
         // --- Indexed point lookups by one owner among 100. ---
         let rdb = Database::reference();
         let pdb = Database::new();
@@ -218,7 +118,7 @@ fn main() {
         let (mut kr, mut kp) = (0usize, 0usize);
         h.pair(
             &format!("point_lookup_{rows}"),
-            rows,
+            1,
             || {
                 let id = (kr * OWNERS) % rows;
                 kr += 1;
@@ -235,13 +135,9 @@ fn main() {
         // 99% other people's partitions. ---
         h.pair(
             &format!("label_skew_{rows}"),
-            rows,
-            || {
-                select(&rdb, &owner0, "SELECT COUNT(*), SUM(v) FROM items");
-            },
-            || {
-                select(&pdb, &owner0, "SELECT COUNT(*), SUM(v) FROM items");
-            },
+            1,
+            || select(&rdb, &owner0, "SELECT COUNT(*), SUM(v) FROM items"),
+            || select(&pdb, &owner0, "SELECT COUNT(*), SUM(v) FROM items"),
         );
 
         // --- Indexed range scan over an all-public table: the pure index
@@ -258,7 +154,7 @@ fn main() {
         };
         h.pair(
             &format!("range_scan_{rows}"),
-            rows,
+            1,
             || {
                 select(&rpub, &public_reader, &range_sql(ar));
                 ar += 1;
@@ -271,30 +167,16 @@ fn main() {
     }
 
     let out = BenchStore { short, entries: h.entries, speedups: h.speedups };
-    let path = w5_bench::metrics::write_metrics("BENCH_store", &out).expect("write metrics");
-    println!();
-    println!("wrote {}", path.display());
-
-    // Acceptance floors (full runs only — --short sizes are CI smoke).
-    if !short {
-        let floors = [("label_skew_100000", 5.0), ("point_lookup_100000", 10.0)];
-        for (name, floor) in floors {
-            let s = out
-                .speedups
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("{name} missing"));
-            if s.speedup < floor {
-                eprintln!("FAIL: {} speedup {:.2}x < {floor}x acceptance floor", name, s.speedup);
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some(baseline) = check {
-        if let Err(e) = check_against(&baseline, &out) {
-            eprintln!("FAIL: {e}");
-            std::process::exit(1);
-        }
-    }
+    let floor = |name, limit| Gate::Limit { name, limit, better: Better::Higher, full_only: true };
+    harness::finish(
+        "BENCH_store",
+        &out,
+        &flags,
+        harness::SPEEDUPS,
+        &[
+            floor("label_skew_100000", 5.0),
+            floor("point_lookup_100000", 10.0),
+            Gate::Baseline { factor: 5.0, better: Better::Higher, names: Names::EveryInFullRuns },
+        ],
+    );
 }

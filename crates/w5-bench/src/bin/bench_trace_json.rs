@@ -15,11 +15,13 @@
 //!   request pays for an actual trace — expected to be well above the
 //!   unsampled tax, reported honestly rather than gated.
 //!
-//! Emits `BENCH_trace.json` via `w5_bench::metrics` (`W5_METRICS_DIR`
-//! redirects it). `--short` shrinks iteration counts for CI smoke runs.
+//! Emits `BENCH_trace.json` through `w5_bench::harness`, which describes
+//! the flags. It accepts `--short` only and has no gate: an always-on tax
+//! above the 5% target prints a warning.
 
 use bytes::Bytes;
 use std::sync::Arc;
+use w5_bench::harness;
 use w5_difc::{CapSet, LabelPair, TagRegistry};
 use w5_kernel::{Kernel, ResourceLimits};
 use w5_platform::Platform;
@@ -39,16 +41,7 @@ enum Arm {
     Sampled,
 }
 
-impl Arm {
-    fn rate(self) -> f64 {
-        match self {
-            Arm::Sampled => 1.0,
-            _ => 0.0,
-        }
-    }
-}
-
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct OverheadEntry {
     name: String,
     p50_baseline_ns: u64,
@@ -61,29 +54,8 @@ struct OverheadEntry {
     sampled_overhead_pct: f64,
 }
 
-/// Exact p50 over raw per-batch samples (the shared log-bucket histogram
-/// is too coarse to resolve a 5% delta).
-fn sampled_p50_ns<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> u64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = std::time::Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// p50 ns per send on the kernel flow-check path, on a private scoped
-/// ledger.
+/// p50 ns per send on the kernel flow-check path.
 fn kernel_send_arm(arm: Arm, iters: usize) -> u64 {
-    let ledger = Arc::new(w5_obs::Ledger::new());
-    ledger.set_trace_sampling(arm.rate(), 7);
-    let _scope = w5_obs::scoped(Arc::clone(&ledger));
-
     let registry = Arc::new(TagRegistry::new());
     let kernel = Kernel::new(Arc::clone(&registry));
     let a = kernel.create_process(
@@ -100,7 +72,7 @@ fn kernel_send_arm(arm: Arm, iters: usize) -> u64 {
     );
     let payload = Bytes::from_static(b"trace-bench");
 
-    let p50_batch = sampled_p50_ns(iters / 10 + 1, iters, || {
+    let p50_batch = harness::p50_ns(iters / 10 + 1, iters, || {
         let _root = (arm != Arm::Baseline).then(|| {
             w5_obs::span("bench.root", w5_obs::Layer::Kernel, &w5_obs::ObsLabel::empty())
         });
@@ -115,11 +87,7 @@ fn kernel_send_arm(arm: Arm, iters: usize) -> u64 {
 /// p50 ns per full app invocation. `invoke` opens its own root span, so
 /// the baseline arm is identical to the unsampled one here — both are
 /// measured anyway to keep the table uniform.
-fn invoke_arm(arm: Arm, iters: usize) -> u64 {
-    let ledger = Arc::new(w5_obs::Ledger::new());
-    ledger.set_trace_sampling(arm.rate(), 7);
-    let _scope = w5_obs::scoped(Arc::clone(&ledger));
-
+fn invoke_arm(iters: usize) -> u64 {
     let world = build_population(
         Platform::new_default("bench-trace"),
         PopulationConfig { users: 1, photos_per_user: 1, ..Default::default() },
@@ -127,7 +95,7 @@ fn invoke_arm(arm: Arm, iters: usize) -> u64 {
     let platform = Arc::clone(&world.platform);
     let user = &world.accounts[0];
 
-    sampled_p50_ns(iters / 10 + 1, iters, || {
+    harness::p50_ns(iters / 10 + 1, iters, || {
         let req = Platform::make_request(
             "GET",
             "view",
@@ -140,7 +108,15 @@ fn invoke_arm(arm: Arm, iters: usize) -> u64 {
     })
 }
 
-fn entry(name: &str, baseline: u64, unsampled: u64, sampled: u64) -> OverheadEntry {
+/// Measure `p50` for each arm, each on a private scoped ledger that
+/// samples at the arm's rate, and print the overheads.
+fn entry(name: &str, p50: impl Fn(Arm) -> u64) -> OverheadEntry {
+    let [baseline, unsampled, sampled] = [Arm::Baseline, Arm::Unsampled, Arm::Sampled].map(|arm| {
+        let ledger = Arc::new(w5_obs::Ledger::new());
+        ledger.set_trace_sampling(if arm == Arm::Sampled { 1.0 } else { 0.0 }, 7);
+        let _scope = w5_obs::scoped(ledger);
+        p50(arm)
+    });
     let pct = |arm: u64| {
         if baseline == 0 {
             0.0
@@ -163,43 +139,26 @@ fn entry(name: &str, baseline: u64, unsampled: u64, sampled: u64) -> OverheadEnt
     e
 }
 
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct BenchTrace {
     short: bool,
     entries: Vec<OverheadEntry>,
 }
 
 fn main() {
-    let short = std::env::args().any(|a| a == "--short");
+    let short = harness::flags(&["--short"]).short;
     w5_bench::banner("TRACE-OVERHEAD", "tracing cost on the flow-check hot path", "§3.5");
 
     let (send_iters, invoke_iters) = if short { (200, 40) } else { (2000, 300) };
 
     let entries = vec![
-        entry(
-            "kernel.send",
-            kernel_send_arm(Arm::Baseline, send_iters),
-            kernel_send_arm(Arm::Unsampled, send_iters),
-            kernel_send_arm(Arm::Sampled, send_iters),
-        ),
-        entry(
-            "platform.invoke",
-            invoke_arm(Arm::Baseline, invoke_iters),
-            invoke_arm(Arm::Unsampled, invoke_iters),
-            invoke_arm(Arm::Sampled, invoke_iters),
-        ),
+        entry("kernel.send", |arm| kernel_send_arm(arm, send_iters)),
+        entry("platform.invoke", |_| invoke_arm(invoke_iters)),
     ];
-
-    for e in &entries {
-        if e.name == "kernel.send" && e.unsampled_overhead_pct >= 5.0 {
-            println!(
-                "warning: {} always-on tax {:.1}% exceeds the 5% target",
-                e.name, e.unsampled_overhead_pct
-            );
-        }
+    let tax = entries[0].unsampled_overhead_pct;
+    if tax >= 5.0 {
+        println!("warning: kernel.send always-on tax {tax:.1}% exceeds the 5% target");
     }
 
-    let out = BenchTrace { short, entries };
-    let path = w5_bench::metrics::write_metrics("BENCH_trace", &out).unwrap();
-    println!("wrote {}", path.display());
+    harness::write("BENCH_trace", &BenchTrace { short, entries });
 }

@@ -50,7 +50,7 @@ impl Declassifier for AlwaysDeny {
 fn check_cost(platform: &Arc<Platform>, labels: &w5_difc::LabelPair, viewer: &Account) -> f64 {
     let oracle = platform.oracle();
     let budget = Duration::from_millis(200);
-    let (iters, elapsed) = w5_bench::throughput(budget, || {
+    w5_bench::harness::time(budget, 1, || {
         let d = platform.exporter.check(
             labels,
             Some(viewer),
@@ -60,9 +60,9 @@ fn check_cost(platform: &Arc<Platform>, labels: &w5_difc::LabelPair, viewer: &Ac
             &platform.declassifiers,
             &oracle,
         );
-        std::hint::black_box(d.allowed);
-    });
-    elapsed.as_nanos() as f64 / iters as f64
+        d.allowed
+    })
+    .ns_per_op()
 }
 
 fn main() {

@@ -15,36 +15,9 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use w5_difc::{Label, LabelPair, TagKind, TagRegistry};
+use w5_difc::{LabelPair, TagRegistry};
 use w5_store::{Database, QueryCost, QueryMode, Subject};
 use w5_sim::Table;
-
-fn build_db(db: &Database, rows: usize, users: usize, reg: &Arc<TagRegistry>) {
-    let trusted = Subject::anonymous();
-    db.execute(&trusted, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
-        "CREATE TABLE items (n INTEGER, owner INTEGER)").unwrap();
-    let labels: Vec<LabelPair> = (0..users)
-        .map(|i| {
-            let (t, _) = reg.create_tag(TagKind::ExportProtect, &format!("u{i}"));
-            LabelPair::new(Label::singleton(t), Label::empty())
-        })
-        .collect();
-    // Insert in batches per user (rows carry that user's label).
-    let per_user = rows / users;
-    for (u, l) in labels.iter().enumerate() {
-        let mut remaining = per_user;
-        let mut base = 0;
-        while remaining > 0 {
-            let chunk = remaining.min(500);
-            let values: Vec<String> =
-                (0..chunk).map(|i| format!("({}, {u})", base + i)).collect();
-            db.execute(&trusted, QueryMode::Filtered, QueryCost::unlimited(), l,
-                &format!("INSERT INTO items VALUES {}", values.join(","))).unwrap();
-            remaining -= chunk;
-            base += chunk;
-        }
-    }
-}
 
 fn main() {
     w5_bench::banner("E11", "labeled store: scan cost vs rows and label diversity", "§2, §5");
@@ -63,24 +36,21 @@ fn main() {
         for (exec_name, db) in [("reference", Database::reference()), ("partitioned", Database::new())] {
             // A fresh registry per arm keeps tag allocation identical.
             let reg = Arc::new(TagRegistry::new());
-            build_db(&db, rows, users, &reg);
+            w5_bench::labeled_items(&db, rows, users, &reg);
             let reader = Subject::new(LabelPair::public(), reg.effective(&w5_difc::CapSet::empty()));
             for (mode_name, mode) in [("w5 filtered", QueryMode::Filtered), ("naive", QueryMode::Naive)] {
-                let (iters, elapsed) = w5_bench::throughput(budget, || {
-                    let out = db
-                        .execute(&reader, mode, QueryCost::unlimited(), &LabelPair::public(),
-                            "SELECT COUNT(*) FROM items WHERE n % 2 = 0")
-                        .unwrap();
-                    std::hint::black_box(out.scanned);
+                let t = w5_bench::harness::time(budget, 1, || {
+                    let out = db.execute(&reader, mode, QueryCost::unlimited(),
+                        &LabelPair::public(), w5_bench::EVEN_ITEMS);
+                    out.unwrap().scanned
                 });
-                let per_scan = elapsed.as_secs_f64() / iters as f64;
                 table.row([
                     rows.to_string(),
                     users.to_string(),
                     exec_name.to_string(),
                     mode_name.to_string(),
-                    format!("{:.2}ms", per_scan * 1e3),
-                    w5_bench::ops_per_sec(iters * rows as u64, elapsed),
+                    format!("{:.2}ms", t.ns_per_op() / 1e6),
+                    t.rate(rows as u64),
                 ]);
             }
         }

@@ -6,13 +6,17 @@
 //! `bench_*_json` binary writes a `BENCH_*.json` baseline that CI checks.
 //! `EXPERIMENTS.md` records claim vs measurement for each.
 //!
-//! This library holds the helpers the binaries share.
+//! This library holds the helpers the binaries share; [`harness`] is the
+//! one flag parser, timing loop and gate set behind every `bench_*_json`.
 
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
+use w5_difc::{Label, LabelPair, TagKind, TagRegistry};
 use w5_sim::Histogram;
+use w5_store::{Database, QueryCost, QueryMode, Subject};
 
+pub mod harness;
 pub mod metrics;
 
 /// Time a closure `n` times into a histogram, after `warmup` unmeasured
@@ -54,6 +58,30 @@ pub fn ops_per_sec(iters: u64, elapsed: Duration) -> String {
         format!("{:.1}k/s", rate / 1e3)
     } else {
         format!("{rate:.1}/s")
+    }
+}
+
+/// The labeled-scan query over [`labeled_items`]: every row is visited.
+pub const EVEN_ITEMS: &str = "SELECT COUNT(*) FROM items WHERE n % 2 = 0";
+
+/// Create `items (n, owner)` in `db` holding `rows` rows split evenly
+/// over `users` owners, each owner's rows under a fresh export-protect
+/// tag and inserted in batches of 500.
+pub fn labeled_items(db: &Database, rows: usize, users: usize, reg: &TagRegistry) {
+    let trusted = Subject::anonymous();
+    let run = |labels: &LabelPair, sql: &str| {
+        db.execute(&trusted, QueryMode::Filtered, QueryCost::unlimited(), labels, sql)
+            .expect("fixture statement");
+    };
+    run(&LabelPair::public(), "CREATE TABLE items (n INTEGER, owner INTEGER)");
+    for u in 0..users {
+        let (tag, _) = reg.create_tag(TagKind::ExportProtect, &format!("u{u}"));
+        let labels = LabelPair::new(Label::singleton(tag), Label::empty());
+        let ns: Vec<usize> = (0..rows / users).collect();
+        for chunk in ns.chunks(500) {
+            let values: Vec<String> = chunk.iter().map(|n| format!("({n}, {u})")).collect();
+            run(&labels, &format!("INSERT INTO items VALUES {}", values.join(",")));
+        }
     }
 }
 
