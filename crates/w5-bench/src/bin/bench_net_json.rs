@@ -41,8 +41,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 use w5_bench::harness::{self, Better, Gate, Names};
 use w5_net::{
-    Admission, ChargeDenied, ChargePoint, Handler, InlineServe, Pipeline, PipelineConfig,
-    PrincipalClass, Request, Response, Serve,
+    Admission, Handler, InlineServe, Pipeline, PipelineConfig, PrincipalClass, Request, Response,
+    Serve,
 };
 use w5_obs::{fnv, Histogram};
 
@@ -71,23 +71,13 @@ impl Handler for SpinHandler {
     }
 }
 
-/// Principal classes by first path segment; never charges (quota
-/// refusals are the boundary tests' subject, not this bench's).
+/// Principal classes by first path segment.
 struct ClassByPath;
 
 impl Admission for ClassByPath {
     fn classify(&self, request: &Request, _peer: SocketAddr) -> PrincipalClass {
         let seg = request.path.split('/').find(|s| !s.is_empty()).unwrap_or("");
         PrincipalClass::App(seg.to_string())
-    }
-
-    fn charge(
-        &self,
-        _class: &PrincipalClass,
-        _point: ChargePoint,
-        _bytes: u64,
-    ) -> Result<(), ChargeDenied> {
-        Ok(())
     }
 }
 

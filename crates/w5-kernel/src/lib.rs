@@ -56,4 +56,4 @@ pub use message::Message;
 pub use process::{ProcessInfo, ProcessState};
 pub use resource::{ResourceContainer, ResourceKind, ResourceLimits, ResourceUsage};
 pub use resource::QuotaExceeded;
-pub use sched::{EpochPacer, Scheduler, SchedulerReport, Step, Task};
+pub use sched::{Scheduler, SchedulerReport, Step, Task};

@@ -62,49 +62,6 @@ struct Entry {
     done: bool,
 }
 
-/// A deterministic epoch clock for code that charges CPU token buckets
-/// *outside* a [`Scheduler`] run — e.g. the HTTP request pipeline, whose
-/// admission stage charges each admitted request against its principal's
-/// [`crate::resource::ResourceContainer`]. Virtual time there is counted
-/// in *admitted requests*, not ticks: every `period` ticks of the pacer,
-/// the caller is told to run [`Kernel::refill_epoch`]. Nothing touches
-/// the wall clock, so boundary throttling replays exactly like the
-/// scheduler's own epochs.
-#[derive(Debug)]
-pub struct EpochPacer {
-    period: u64,
-    count: std::sync::atomic::AtomicU64,
-}
-
-impl EpochPacer {
-    /// A pacer that completes an epoch every `period` ticks. A period of
-    /// zero never completes an epoch (token buckets are then cumulative
-    /// over the process lifetime).
-    pub fn new(period: u64) -> EpochPacer {
-        EpochPacer { period, count: std::sync::atomic::AtomicU64::new(0) }
-    }
-
-    /// Count one tick; true when this tick closes an epoch and the caller
-    /// should refill the kernel's token buckets.
-    pub fn tick(&self) -> bool {
-        if self.period == 0 {
-            return false;
-        }
-        let n = self.count.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-        n.is_multiple_of(self.period)
-    }
-
-    /// Ticks counted so far.
-    pub fn ticks(&self) -> u64 {
-        self.count.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The configured epoch length (0 = epochs never complete).
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-}
-
 /// Round-robin scheduler over kernel processes.
 pub struct Scheduler {
     kernel: Kernel,

@@ -145,7 +145,6 @@ impl Manifest {
                 class!("platform.editors", 25, "editor endorsement table"),
                 class!("platform.perimeter", 26, "perimeter audit ring"),
                 class!("platform.impl", 27, "platform implementation/fault tables"),
-                class!("platform.boundary", 28, "net-boundary principal-class → kernel process map"),
                 class!("baseline.silo", 30, "siloed-deployment baseline state"),
                 class!("baseline.mashup", 31, "mashup baseline received-data log"),
                 class!("baseline.thirdparty", 32, "third-party-hosting baseline state"),

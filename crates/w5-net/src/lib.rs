@@ -16,11 +16,12 @@
 //!   405-aware [`router::RouteOutcome`].
 //! * [`pipeline`] — the staged request engine: bounded per-principal-class
 //!   queues, deficit-round-robin shard worker pools, and an [`Admission`]
-//!   hook that charges kernel resource containers at the socket boundary.
+//!   hook that classifies each request into its principal class.
 //! * [`server`] — the TCP front end (accept loop, keep-alive, graceful
-//!   shutdown) over a pluggable [`Serve`] engine. [`Server`] runs the
-//!   pipeline; [`ReferenceServer`] keeps the seed's
-//!   thread-per-connection semantics as the differential-oracle baseline.
+//!   shutdown) over a pluggable [`Serve`] engine. [`Server::start`] runs
+//!   the pipeline; [`Server::start_engine`] with an [`InlineServe`] keeps
+//!   the seed's thread-per-connection semantics as the differential-oracle
+//!   baseline.
 //! * [`client`] — a blocking client used by the experiment harnesses and by
 //!   provider-to-provider federation.
 //!
@@ -54,8 +55,8 @@ pub use dns::{DnsServer, Zone};
 pub use cookie::{Cookie, SetCookie};
 pub use http::{HttpError, Method, Request, Response, Status};
 pub use pipeline::{
-    Admission, ChargeDenied, ChargePoint, InlineServe, OpenAdmission, Pipeline, PipelineConfig,
-    PipelineSnapshot, PipelineStats, PrincipalClass, Serve,
+    Admission, InlineServe, OpenAdmission, Pipeline, PipelineConfig, PipelineSnapshot,
+    PipelineStats, PrincipalClass, Serve,
 };
 pub use router::{allow_header, RouteMatch, RouteOutcome, Router};
-pub use server::{Handler, ReferenceServer, Server, ServerConfig, ServerHandle};
+pub use server::{Handler, Server, ServerConfig, ServerHandle};

@@ -3,14 +3,15 @@
 //! One OS thread per connection parses and writes; the request itself is
 //! executed by a pluggable [`Serve`] engine. [`Server`] runs the staged
 //! [`Pipeline`](crate::pipeline::Pipeline) (bounded worker pools, per-class
-//! queues); [`ReferenceServer`] keeps the seed's semantics — the handler
-//! runs directly on the connection thread — as the baseline arm of
-//! `w5_sim::netdiff`'s differential oracle. Shutdown flips an atomic flag
+//! queues); [`Server::start_engine`] with an
+//! [`InlineServe`](crate::pipeline::InlineServe) keeps the seed's semantics
+//! — the handler runs directly on the connection thread — as the baseline
+//! arm of `w5_sim::netdiff`'s differential oracle. Shutdown flips an atomic flag
 //! and unblocks the accept loop by connecting to itself — no busy-wait, no
 //! platform-specific listener tricks.
 
 use crate::http::{buf_reader, HttpError, Limits, Request, Response, Status};
-use crate::pipeline::{fault_line, InlineServe, OpenAdmission, Pipeline, PipelineConfig, Serve};
+use crate::pipeline::{fault_line, OpenAdmission, Pipeline, PipelineConfig, Serve};
 use w5_sync::{lockdep, Mutex};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -108,10 +109,9 @@ impl ServerHandle {
 }
 
 /// The server factory. [`Server::start`] serves through the staged
-/// pipeline; use [`ReferenceServer::start`] for the seed's
-/// handler-on-the-connection-thread semantics, or
-/// [`Server::start_engine`] to supply a custom engine (e.g. a pipeline
-/// with kernel-backed admission).
+/// pipeline; [`Server::start_engine`] takes any engine, e.g. an
+/// [`InlineServe`](crate::pipeline::InlineServe) for the seed's handler-on-the-connection-thread
+/// semantics or a pipeline with its own configuration.
 pub struct Server;
 
 impl Server {
@@ -188,23 +188,6 @@ impl Server {
     }
 }
 
-/// The seed server, preserved verbatim behind the [`Serve`] trait: the
-/// handler runs directly on the connection thread, unbounded by any
-/// worker pool. Baseline arm of the netdiff oracle and of the fairness
-/// benchmark (`bench_net_json`).
-pub struct ReferenceServer;
-
-impl ReferenceServer {
-    /// Bind and serve with thread-per-connection handler execution.
-    pub fn start(
-        addr: &str,
-        config: ServerConfig,
-        handler: Arc<dyn Handler>,
-    ) -> std::io::Result<ServerHandle> {
-        Server::start_engine(addr, config, Arc::new(InlineServe::new(handler)))
-    }
-}
-
 /// An occupied connection slot. Incremented on accept; the `Drop` impl
 /// releases it, so the count balances whether the connection thread runs
 /// to completion or the spawn fails and the closure is dropped unrun.
@@ -230,7 +213,7 @@ fn overloaded(mut stream: TcpStream) -> std::io::Result<()> {
     // redacted.
     let resp = Response::error(
         Status::SERVICE_UNAVAILABLE,
-        &fault_line("net/server", "infrastructure", Some("server overloaded: connection limit reached")),
+        &fault_line("net/server", "infrastructure", "server overloaded: connection limit reached"),
     )
     .with_header("retry-after", "1");
     let mut out = Vec::new();
@@ -336,6 +319,7 @@ mod tests {
     use super::*;
     use crate::client::HttpClient;
     use crate::http::Method;
+    use crate::pipeline::InlineServe;
 
     fn echo_server() -> ServerHandle {
         Server::start(
@@ -565,9 +549,12 @@ mod tests {
     #[test]
     fn reference_server_releases_slot_when_handler_panics() {
         use std::io::Read;
-        let h =
-            ReferenceServer::start("127.0.0.1:0", ServerConfig::default(), panicky_handler())
-                .unwrap();
+        let h = Server::start_engine(
+            "127.0.0.1:0",
+            ServerConfig::default(),
+            Arc::new(InlineServe::new(panicky_handler())),
+        )
+        .unwrap();
         // Seed semantics: the panic unwinds the connection thread, so the
         // client sees EOF with no response…
         let mut s = TcpStream::connect(h.addr()).unwrap();
@@ -592,12 +579,12 @@ mod tests {
 
     #[test]
     fn reference_server_matches_seed_semantics_for_normal_traffic() {
-        let h = ReferenceServer::start(
+        let h = Server::start_engine(
             "127.0.0.1:0",
             ServerConfig::default(),
-            Arc::new(|req: Request, _peer: SocketAddr| {
+            Arc::new(InlineServe::new(Arc::new(|req: Request, _peer: SocketAddr| {
                 Response::text(format!("{} {}", req.method, req.path))
-            }),
+            }))),
         )
         .unwrap();
         let mut conn = HttpClient::new().connect(h.addr()).unwrap();

@@ -178,10 +178,11 @@ pub enum EventKind {
         matched: bool,
     },
     /// The request pipeline admitted a request into its principal-class
-    /// queue. Recorded under the principal's secrecy label, so a hidden
-    /// principal's queue activity is clearance-gated in ledger views.
+    /// queue. Recorded public (empty label): depths and keys are queue
+    /// metadata, and a session class is only a digest of its cookie.
     QueueAdmit {
-        /// Principal-class key (`"anon"`, `"session:<user>"`, `"app:<key>"`).
+        /// Principal-class key (`"anon"`, `"session:<digest of the
+        /// cookie>"` — unvalidated, recorded public — or `"app:<key>"`).
         class: String,
         /// The worker-pool shard the class hashes to.
         shard: u64,
@@ -192,7 +193,7 @@ pub enum EventKind {
     /// full, or an injected `net.queue_full` fault). Sheds are denials:
     /// always written to the ring, never sampled away.
     QueueShed {
-        /// Principal-class key.
+        /// Principal-class key, as for `QueueAdmit` (recorded public).
         class: String,
         /// The worker-pool shard the class hashes to.
         shard: u64,

@@ -118,6 +118,26 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_fault_line_matches_platform_report_format() {
+        // w5-net renders its 503 bodies without depending on this crate;
+        // this pins the two formats together so they cannot drift.
+        let report = build_report(
+            "net/pipeline",
+            FaultKind::Infrastructure,
+            &LabelPair::public(),
+            "class queue full: request shed",
+        );
+        assert_eq!(
+            report.to_log_line(),
+            w5_net::pipeline::fault_line(
+                "net/pipeline",
+                FaultKind::Infrastructure.as_str(),
+                "class queue full: request shed",
+            )
+        );
+    }
+
+    #[test]
     fn kinds_render() {
         assert_eq!(FaultKind::FlowDenied.as_str(), "flow-denied");
         assert_eq!(FaultKind::QuotaExceeded.as_str(), "quota-exceeded");

@@ -31,7 +31,6 @@
 
 pub mod api;
 pub mod appreg;
-pub mod boundary;
 pub mod crypto;
 pub mod declass;
 pub mod editors;
@@ -46,7 +45,6 @@ pub mod session;
 mod platform;
 
 pub use api::{ApiError, AppRequest, AppResponse, CreateLabels, PlatformApi, W5App};
-pub use boundary::NetAdmission;
 pub use appreg::{AppManifest, AppRegistry, ModuleManifest, RegistryError};
 pub use editors::{EditorRegistry, Endorsement};
 pub use declass::{

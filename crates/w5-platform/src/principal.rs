@@ -160,13 +160,6 @@ impl AccountStore {
         }
     }
 
-    /// Look up by username (no credential check — used by trusted
-    /// components such as the net boundary's admission policy).
-    pub fn find_by_username(&self, username: &str) -> Option<Account> {
-        let id = *self.by_name.read().get(username)?;
-        self.by_id.read().get(&id).cloned()
-    }
-
     /// Look up by id.
     pub fn get(&self, id: UserId) -> Option<Account> {
         self.by_id.read().get(&id).cloned()

@@ -28,11 +28,9 @@
 //!   injector per job and re-installs it on the worker, so the abort
 //!   stream a client's handlers experience depends only on
 //!   `(seed, client)`, whichever thread runs them.
-//! * **Admission without charging** — the oracle arms classify requests
-//!   (so DRR fairness and per-class queues are really exercised) but
-//!   never charge: resource-container verdicts depend on shared counters
-//!   and are covered by `w5_platform::boundary` unit tests and the
-//!   noninterference suite instead.
+//! * **Per-app admission** — the oracle arms classify requests by target
+//!   app, so DRR fairness and per-class queues are really exercised, and
+//!   a class is a pure function of the request.
 //!
 //! A separate storm entry point ([`run_pipeline_storm`]) arms the
 //! pipeline's *own* fault sites (`net.queue_full`, `net.slow_worker`)
@@ -51,8 +49,8 @@ use std::thread;
 use w5_chaos::{ChaosReport, FaultPlan, Injector, Site};
 use w5_difc::LabelPair;
 use w5_net::{
-    Admission, ChargeDenied, ChargePoint, Handler, InlineServe, Pipeline, PipelineConfig,
-    PipelineSnapshot, PrincipalClass, Request, Response, Serve,
+    Admission, Handler, InlineServe, Pipeline, PipelineConfig, PipelineSnapshot, PrincipalClass,
+    Request, Response, Serve,
 };
 use w5_obs::{fnv, EventKind, Ledger};
 use w5_platform::{
@@ -205,13 +203,11 @@ fn install(platform: &Platform, clients: usize) {
     }
 }
 
-/// Classifying admission with no resource charging: requests to
-/// `/app/:dev/:app/…` queue under that app's class, everything else is
-/// anonymous. Keeps the DRR scheduler honest without coupling the oracle
-/// to shared quota counters.
-struct ClassifyOnly;
+/// Requests to `/app/:dev/:app/…` queue under that app's class,
+/// everything else is anonymous. Keeps the DRR scheduler honest.
+struct AppAdmission;
 
-impl Admission for ClassifyOnly {
+impl Admission for AppAdmission {
     fn classify(&self, request: &Request, _peer: SocketAddr) -> PrincipalClass {
         let mut segs = request.path.split('/').filter(|s| !s.is_empty());
         if segs.next() == Some("app") {
@@ -220,15 +216,6 @@ impl Admission for ClassifyOnly {
             }
         }
         PrincipalClass::Anonymous
-    }
-
-    fn charge(
-        &self,
-        _class: &PrincipalClass,
-        _point: ChargePoint,
-        _bytes: u64,
-    ) -> Result<(), ChargeDenied> {
-        Ok(())
     }
 }
 
@@ -322,7 +309,7 @@ impl Oracle for NetSpec {
             Pipeline::start(
                 PipelineConfig { workers: 4, shards: 2, chaos: None, ..PipelineConfig::default() },
                 Arc::clone(&gateway),
-                Arc::new(ClassifyOnly),
+                Arc::new(AppAdmission),
             )
         });
         let serve: Arc<dyn Serve> = match &pipeline {
@@ -348,7 +335,6 @@ impl Oracle for NetSpec {
             p.stop();
             let snap = p.stats.snapshot();
             assert_eq!(snap.shed, 0, "oracle arms must never shed (queues sized for the load)");
-            assert_eq!(snap.quota_denied, 0, "ClassifyOnly never charges");
         }
         let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
         for (_, counts) in &reports {
@@ -421,7 +407,7 @@ pub fn run_pipeline_storm(spec: &NetSpec) -> StormReport {
             ..PipelineConfig::default()
         },
         Arc::new(Gateway::new(Arc::clone(&platform))),
-        Arc::new(ClassifyOnly),
+        Arc::new(AppAdmission),
     );
     let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
     thread::scope(|s| {

@@ -438,8 +438,9 @@ mod concurrent_kernel {
 
 mod net_admission {
     //! Noninterference at the front door: the staged pipeline's
-    //! backpressure surface (shed verdicts, `Retry-After` hints, quota
-    //! refusals) must reveal nothing about *other* principals' traffic.
+    //! backpressure surface (shed verdicts, `Retry-After` hints) and its
+    //! public queue telemetry must reveal nothing about *other*
+    //! principals' traffic or credentials.
     //!
     //! The sharpest channel a bounded queue could open is the retry
     //! hint: if `Retry-After` were computed from global queue state, a
@@ -455,12 +456,11 @@ mod net_admission {
     use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
-    use w5_kernel::ResourceLimits;
     use w5_net::{
-        Admission, ChargeDenied, ChargePoint, Handler, Pipeline, PipelineConfig, PrincipalClass,
-        Request, Response,
+        Admission, Handler, OpenAdmission, Pipeline, PipelineConfig, PrincipalClass, Request,
+        Response, SESSION_COOKIE_NAME,
     };
-    use w5_platform::{FaultKind, Gateway, NetAdmission, Platform};
+    use w5_obs::{Ledger, ObsLabel};
     use w5_sync::Mutex;
 
     fn peer() -> SocketAddr {
@@ -477,73 +477,14 @@ mod net_admission {
         panic!("timed out waiting for {what}");
     }
 
-    /// The full §3.5 path, socket framing aside: pipeline admission →
-    /// kernel resource container → 429 with a labeled fault-report body,
-    /// with the same report retained for developers in the platform's
-    /// fault log — and the store untouched by the refused request.
-    #[test]
-    fn network_quota_refusal_is_a_429_fault_report_end_to_end() {
-        let platform = Platform::new_default("ni-net");
-        let limits = ResourceLimits { network_bytes: 700, ..ResourceLimits::unlimited() };
-        let admission = NetAdmission::new(Arc::clone(&platform), limits, 0);
-        let gateway: Arc<dyn Handler> = Arc::new(Gateway::new(Arc::clone(&platform)));
-        let pipeline = Pipeline::start(
-            PipelineConfig { workers: 2, shards: 1, ..PipelineConfig::default() },
-            gateway,
-            admission,
-        );
-
-        // /registry is 74 request-charge bytes per hit (path + flat
-        // per-request overhead), plus the response body; the 700-byte
-        // container admits the first request and starves soon after.
-        let mut saw_ok = false;
-        let mut denial = None;
-        for _ in 0..32 {
-            let resp = pipeline.submit(Request::get("/registry"), peer());
-            match resp.status.0 {
-                200 => saw_ok = true,
-                429 => {
-                    denial = Some(resp);
-                    break;
-                }
-                other => panic!("unexpected status {other} before quota exhaustion"),
-            }
-        }
-        let denial = denial.expect("container must eventually refuse");
-        assert!(saw_ok, "the first request must fit the budget");
-        let retry: u64 = denial.header("retry-after").expect("429 carries Retry-After").parse().unwrap();
-        assert!(retry >= 1);
-        let body = String::from_utf8_lossy(&denial.body);
-        assert!(
-            body.contains("fault app=net/anon kind=quota-exceeded"),
-            "429 body must be the labeled fault report, got: {body}"
-        );
-        let faults = platform.fault_reports();
-        assert!(
-            faults.iter().any(|f| f.app == "net/anon" && f.kind == FaultKind::QuotaExceeded),
-            "the same report must be retained for the developer log"
-        );
-        assert_eq!(pipeline.stats.snapshot().quota_denied, 1);
-        pipeline.stop();
-    }
-
-    /// Classifies by the first path segment and never charges — the
-    /// harness needs exact control over which queue each request joins.
+    /// Classifies by the first path segment — the harness needs exact
+    /// control over which queue each request joins.
     struct ByFirstSegment;
 
     impl Admission for ByFirstSegment {
         fn classify(&self, request: &Request, _peer: SocketAddr) -> PrincipalClass {
             let seg = request.path.split('/').find(|s| !s.is_empty()).unwrap_or("");
             PrincipalClass::App(seg.to_string())
-        }
-
-        fn charge(
-            &self,
-            _class: &PrincipalClass,
-            _point: ChargePoint,
-            _bytes: u64,
-        ) -> Result<(), ChargeDenied> {
-            Ok(())
         }
     }
 
@@ -591,7 +532,6 @@ mod net_admission {
                 workers: 1,
                 shards: 1,
                 queue_depth: DEPTH,
-                retry_after_floor: 1,
                 ..PipelineConfig::default()
             },
             Arc::clone(&handler) as Arc<dyn Handler>,
@@ -657,5 +597,37 @@ mod net_admission {
             "honest shed observable differs with hidden backlog: \
              Retry-After leaks another principal's queue depth"
         );
+    }
+
+    fn with_session(token: &str) -> Request {
+        let mut req = Request::get("/registry");
+        req.headers.insert("cookie".into(), format!("{SESSION_COOKIE_NAME}={token}"));
+        req
+    }
+
+    /// Queue events are recorded under the empty label, readable by the
+    /// lowest-clearance viewer, so a session class key must carry a
+    /// digest of the cookie — never the bearer token itself.
+    #[test]
+    fn session_token_never_reaches_public_queue_telemetry() {
+        let token = "3f9a".repeat(16);
+        let ledger = Arc::new(Ledger::new());
+        let _obs = w5_obs::scoped(Arc::clone(&ledger));
+        let pipeline = Pipeline::start(
+            PipelineConfig::default(),
+            Arc::new(|_r: Request, _| Response::text("ok")),
+            Arc::new(OpenAdmission),
+        );
+        assert_eq!(pipeline.submit(with_session(&token), peer()).status.0, 200);
+        pipeline.stop();
+
+        let public = ledger.snapshot_json(&ObsLabel::empty()).unwrap();
+        assert!(public.contains("session:"), "the admit must be recorded: {public}");
+        assert!(!public.contains(&token), "session token leaked to public telemetry: {public}");
+
+        // Distinct sessions still queue (and are scheduled) apart.
+        let class = |t: &str| OpenAdmission.classify(&with_session(t), peer());
+        assert_eq!(class(&token), class(&token));
+        assert_ne!(class(&token), class(&"77c1".repeat(16)));
     }
 }
